@@ -1,14 +1,21 @@
 #!/usr/bin/env bash
 # Sanitizer CI for the concurrency and robustness surfaces.
 #
-# Two legs, both building with the repo's SD_SANITIZE CMake option:
+# Three legs, all building with the repo's SD_SANITIZE CMake option:
 #   1. ThreadSanitizer over the parallel/robustness suites — the thread
 #      pool, run_suite_parallel, the fault-injection substrate and the
 #      shared journal writer are the racy surfaces.
 #   2. AddressSanitizer+UBSan over the full tier-1 ctest suite — the fuzz
 #      sweeps only prove "no crash" if UB actually traps.
+#   3. The same ASan+UBSan build over the decoder suites alone (test_dex,
+#      test_fuzz): the quick leg ci/verify.sh runs on every commit.
 #
-# Usage: ci/sanitize.sh [tsan|asan|all]   (default: all)
+# The ASan+UBSan build also defines _GLIBCXX_ASSERTIONS. The APK decoder
+# parses each dex in place through a view of its window, so a read past
+# the window lands inside the still-valid input buffer where ASan sees
+# nothing; libstdc++'s bounds assertions on std::span catch it instead.
+#
+# Usage: ci/sanitize.sh [tsan|asan|decoders|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,19 +50,35 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_incremental
 }
 
+configure_asan() {
+  cmake -B build-asan -S . -DSD_SANITIZE=address,undefined \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS="-D_GLIBCXX_ASSERTIONS" > /dev/null
+}
+
 run_asan() {
   echo "=== AddressSanitizer+UBSan: full tier-1 suite ==="
-  cmake -B build-asan -S . -DSD_SANITIZE=address,undefined \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+  configure_asan
   cmake --build build-asan -j "$jobs"
   ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
 }
 
+run_decoders() {
+  echo "=== AddressSanitizer+UBSan: test_dex + test_fuzz ==="
+  configure_asan
+  cmake --build build-asan -j "$jobs" --target test_dex test_fuzz
+  ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_dex
+  ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_fuzz
+}
+
 case "$leg" in
   tsan) run_tsan ;;
   asan) run_asan ;;
+  decoders) run_decoders ;;
   all)  run_tsan; run_asan ;;
-  *)    echo "usage: ci/sanitize.sh [tsan|asan|all]" >&2; exit 2 ;;
+  *)    echo "usage: ci/sanitize.sh [tsan|asan|decoders|all]" >&2; exit 2 ;;
 esac
 echo "sanitize: OK ($leg)"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: the exact configure/build/ctest sequence CI
 # runs on every commit, plus the ThreadSanitizer leg over the concurrency
-# suites (ci/sanitize.sh tsan). Run before pushing; a clean exit here is
-# what "tier-1 green" means in ROADMAP.md.
+# suites (ci/sanitize.sh tsan) and the AddressSanitizer+UBSan leg over the
+# decoder suites (ci/sanitize.sh decoders). Run before pushing; a clean
+# exit here is what "tier-1 green" means in ROADMAP.md.
 #
 # Usage: ci/verify.sh [--no-tsan]
 set -euo pipefail
@@ -50,5 +51,9 @@ fi
 if [[ "$tsan" == 1 ]]; then
   ci/sanitize.sh tsan
 fi
+
+# The decoders read each dex in place from a view of the input; an
+# out-of-window read must trap here rather than pass as "no crash".
+ci/sanitize.sh decoders
 
 echo "verify: OK"

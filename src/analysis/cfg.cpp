@@ -68,14 +68,6 @@ Cfg Cfg::build(const MethodCode& code) {
     }
   }
 
-  // Predecessors.
-  for (std::uint32_t b = 0; b < block_count; ++b) {
-    const BasicBlock& block = cfg.blocks_[b];
-    if (block.fallthrough != kNoBlock)
-      cfg.blocks_[block.fallthrough].preds.push_back(b);
-    if (block.taken != kNoBlock) cfg.blocks_[block.taken].preds.push_back(b);
-  }
-
   return cfg;
 }
 

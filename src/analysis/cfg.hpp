@@ -22,7 +22,6 @@ struct BasicBlock {
   std::uint32_t last = 0;   ///< index of the last instruction (inclusive)
   std::uint32_t fallthrough = kNoBlock;  ///< next block when not taken
   std::uint32_t taken = kNoBlock;        ///< branch target block (if-cmp/goto)
-  std::vector<std::uint32_t> preds;
 
   bool ends_in_conditional(const MethodCode& code) const {
     return code.insns[last].op == Opcode::kIfCmp;

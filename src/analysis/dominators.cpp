@@ -52,6 +52,12 @@ Dominators Dominators::compute(const Cfg& cfg) {
   const auto n = static_cast<std::uint32_t>(cfg.block_count());
   dom.idom_.assign(n, kNoBlock);
   const std::vector<std::uint32_t> order = reverse_postorder(cfg, dom.order_);
+  std::vector<std::vector<std::uint32_t>> preds(n);
+  for (std::uint32_t b = 0; b < n; ++b) {
+    const BasicBlock& bb = cfg.block(b);
+    for (const std::uint32_t next : {bb.fallthrough, bb.taken})
+      if (next != kNoBlock) preds[next].push_back(b);
+  }
 
   const auto intersect = [&dom](std::uint32_t a, std::uint32_t b) {
     // Walk up the (partially built) dominator tree using RPO numbers.
@@ -69,7 +75,7 @@ Dominators Dominators::compute(const Cfg& cfg) {
     for (const std::uint32_t block : order) {
       if (block == Cfg::entry()) continue;
       std::uint32_t new_idom = kNoBlock;
-      for (const std::uint32_t pred : cfg.block(block).preds) {
+      for (const std::uint32_t pred : preds[block]) {
         if (dom.order_[pred] == kNoBlock) continue;  // unreachable pred
         if (dom.idom_[pred] == kNoBlock) continue;   // not yet processed
         new_idom = new_idom == kNoBlock ? pred : intersect(pred, new_idom);

@@ -55,10 +55,16 @@ struct BlockState {
   bool reached = false;
 };
 
-/// Join of register facts: keep only agreements.
-void join_regs(std::vector<RegFact>& into, const std::vector<RegFact>& from) {
-  for (std::size_t i = 0; i < into.size(); ++i)
-    if (!(into[i] == from[i])) into[i] = RegFact::unknown();
+/// Join of register facts: keep only agreements. Returns whether `into`
+/// changed.
+bool join_regs(std::vector<RegFact>& into, const std::vector<RegFact>& from) {
+  bool changed = false;
+  for (std::size_t i = 0; i < into.size(); ++i) {
+    if (into[i] == from[i] || into[i] == RegFact::unknown()) continue;
+    into[i] = RegFact::unknown();
+    changed = true;
+  }
+  return changed;
 }
 
 /// Join of field facts: keep only entries present and equal on both sides.
@@ -115,9 +121,7 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
             dst.interval = merged;
             changed = true;
           }
-          std::vector<RegFact> before = dst.regs;
-          join_regs(dst.regs, regs);
-          if (before != dst.regs) changed = true;
+          if (join_regs(dst.regs, regs)) changed = true;
           const std::size_t field_count_before = dst.fields.size();
           join_fields(dst.fields, fields);
           if (dst.fields.size() != field_count_before) changed = true;
@@ -286,6 +290,10 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
     return split;
   };
 
+  // Per-visit working state, reused across visits so the fixpoint does
+  // not allocate a register vector per block visit.
+  std::vector<RegFact> regs;
+  std::unordered_map<std::uint32_t, RegFact> fields;
   while (!worklist.empty() && iterations++ < iteration_cap) {
     if (budget && !budget->allow_step()) {
       // Budget exhausted mid-fixpoint: degrade soundly by widening every
@@ -301,8 +309,8 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
 
     const BasicBlock& block = cfg.block(b);
     ApiInterval interval = in_states[b].interval;
-    std::vector<RegFact> regs = in_states[b].regs;
-    std::unordered_map<std::uint32_t, RegFact> fields = in_states[b].fields;
+    regs = in_states[b].regs;
+    fields = in_states[b].fields;
 
     transfer_body(block, regs, fields);
     const EdgeSplit split = split_edges(block, interval, regs);
@@ -329,8 +337,8 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
       if (!in_states[b].reached) continue;
       const BasicBlock& block = cfg.block(b);
       if (code.insns[block.last].op != Opcode::kIfCmp) continue;
-      std::vector<RegFact> regs = in_states[b].regs;
-      std::unordered_map<std::uint32_t, RegFact> fields = in_states[b].fields;
+      regs = in_states[b].regs;
+      fields = in_states[b].fields;
       transfer_body(block, regs, fields);
       const EdgeSplit split = split_edges(block, in_states[b].interval, regs);
       if (split.direct)

@@ -5,15 +5,17 @@
 namespace saintdroid {
 
 std::uint64_t class_footprint_bytes(const DexFile& dex, const ClassDef& cls) {
+  namespace size = modelled_size;
   std::uint64_t bytes =
-      sizeof(ClassDef) + cls.interfaces.size() * sizeof(std::uint32_t);
+      size::kClassDef + cls.interfaces.size() * sizeof(std::uint32_t);
   bytes += dex.type_name(cls.type).size();
   for (const auto& m : cls.methods) {
-    bytes += sizeof(MethodDef) + dex.string_at(m.name).size();
+    bytes += size::kMethodDef + dex.string_at(m.name).size();
     if (m.code) {
-      bytes += sizeof(MethodCode);
+      bytes += size::kMethodCode;
       for (const auto& insn : m.code->insns)
-        bytes += sizeof(Instruction) + insn.args.size() * sizeof(std::uint16_t);
+        bytes +=
+            size::kInstruction + insn.args.size() * sizeof(std::uint16_t);
     }
   }
   return bytes;

@@ -109,7 +109,7 @@ ApiDatabase ApiDatabase::mine(const FrameworkRepository& repo, int jobs) {
     for (auto& scan : partial.methods) {
       if (!scan.dispatcher) {
         db.presence_[scan.id] |= std::uint32_t{1} << level;
-        db.method_names_.insert(scan.id.class_name + "|" + scan.id.name);
+        db.method_names_[scan.id.class_name].insert(scan.id.name);
       } else {
         for (auto& target : scan.callback_targets)
           db.callbacks_.insert(std::move(target));
@@ -257,7 +257,7 @@ ApiDatabase ApiDatabase::parse(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t i = 0; i < presence_count; ++i) {
     MethodId id = read_id();
     const std::uint32_t bits = r.u32();
-    db.method_names_.insert(id.class_name + "|" + id.name);
+    db.method_names_[id.class_name].insert(id.name);
     db.presence_.emplace(std::move(id), bits);
   }
   const auto callback_count = r.count();
@@ -319,7 +319,8 @@ bool ApiDatabase::is_known_class(const std::string& name) const {
 
 bool ApiDatabase::class_has_method_named(const std::string& cls,
                                          const std::string& name) const {
-  return method_names_.contains(cls + "|" + name);
+  const auto it = method_names_.find(cls);
+  return it != method_names_.end() && it->second.contains(name);
 }
 
 const ApiDatabase& standard_api_database() {

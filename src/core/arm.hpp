@@ -92,7 +92,9 @@ class ApiDatabase {
   std::unordered_set<MethodId> callbacks_;
   std::unordered_map<MethodId, std::vector<std::string>> permissions_;
   std::unordered_set<std::string> classes_;
-  std::unordered_set<std::string> method_names_;  // "cls|name"
+  // Class name -> names of the methods it declares at any level.
+  std::unordered_map<std::string, std::unordered_set<std::string>>
+      method_names_;
   std::shared_ptr<const SemanticTable> semantics_;
 };
 

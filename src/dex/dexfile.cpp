@@ -71,11 +71,12 @@ void encode_insn(ByteWriter& w, const Instruction& insn) {
   }
 }
 
-Instruction decode_insn(ByteReader& r) {
+// Decodes one instruction straight into a new element of `out`.
+void decode_insn(ByteReader& r, std::vector<Instruction>& out) {
   const auto raw_op = r.u8();
   if (raw_op > static_cast<std::uint8_t>(Opcode::kReturn))
     throw ParseError("unknown opcode " + std::to_string(raw_op));
-  Instruction insn;
+  Instruction& insn = out.emplace_back();
   insn.op = static_cast<Opcode>(raw_op);
   switch (insn.op) {
     case Opcode::kNop:
@@ -139,7 +140,6 @@ Instruction decode_insn(ByteReader& r) {
       insn.reg_a = static_cast<std::uint16_t>(r.uleb());
       break;
   }
-  return insn;
 }
 
 }  // namespace
@@ -177,12 +177,15 @@ std::string DexFile::descriptor_of(std::uint32_t proto_idx) const {
     const std::string& name = type_name(idx);
     if (name.size() == 1 || name.front() == '[')
       out += name;
-    else
-      out += "L" + name + ";";
+    else {
+      out += 'L';
+      out += name;
+      out += ';';
+    }
   };
   std::string out = "(";
   for (const auto param : proto.param_types) append_type(out, param);
-  out += ")";
+  out += ')';
   append_type(out, proto.return_type);
   return out;
 }
@@ -236,21 +239,23 @@ std::uint64_t DexFile::instruction_count() const {
 }
 
 std::uint64_t DexFile::footprint_bytes() const {
+  namespace size = modelled_size;
   std::uint64_t bytes = 0;
-  for (const auto& s : strings_) bytes += s.size() + sizeof(std::string);
+  for (const auto& s : strings_) bytes += s.size() + size::kString;
   bytes += types_.size() * sizeof(std::uint32_t);
   for (const auto& p : protos_)
-    bytes += sizeof(Proto) + p.param_types.size() * sizeof(std::uint32_t);
-  bytes += method_refs_.size() * sizeof(MethodRef);
-  bytes += field_refs_.size() * sizeof(FieldRef);
+    bytes += size::kProto + p.param_types.size() * sizeof(std::uint32_t);
+  bytes += method_refs_.size() * size::kMethodRef;
+  bytes += field_refs_.size() * size::kFieldRef;
   for (const auto& cls : class_defs_) {
-    bytes += sizeof(ClassDef) + cls.interfaces.size() * sizeof(std::uint32_t);
+    bytes += size::kClassDef + cls.interfaces.size() * sizeof(std::uint32_t);
     for (const auto& m : cls.methods) {
-      bytes += sizeof(MethodDef);
+      bytes += size::kMethodDef;
       if (m.code) {
-        bytes += sizeof(MethodCode);
+        bytes += size::kMethodCode;
         for (const auto& insn : m.code->insns)
-          bytes += sizeof(Instruction) + insn.args.size() * sizeof(std::uint16_t);
+          bytes += size::kInstruction +
+                   insn.args.size() * sizeof(std::uint16_t);
       }
     }
   }
@@ -333,39 +338,38 @@ DexFile DexFile::parse(std::span<const std::uint8_t> bytes) {
   const auto proto_count = r.count();
   dex.protos_.reserve(proto_count);
   for (std::uint64_t i = 0; i < proto_count; ++i) {
-    Proto p;
+    Proto& p = dex.protos_.emplace_back();
     p.return_type = static_cast<std::uint32_t>(r.uleb());
     const auto params = r.count();
     p.param_types.reserve(params);
     for (std::uint64_t j = 0; j < params; ++j)
       p.param_types.push_back(static_cast<std::uint32_t>(r.uleb()));
-    dex.protos_.push_back(std::move(p));
   }
 
   const auto method_count = r.count();
   dex.method_refs_.reserve(method_count);
   for (std::uint64_t i = 0; i < method_count; ++i) {
-    MethodRef m;
+    MethodRef& m = dex.method_refs_.emplace_back();
     m.class_type = static_cast<std::uint32_t>(r.uleb());
     m.name = static_cast<std::uint32_t>(r.uleb());
     m.proto = static_cast<std::uint32_t>(r.uleb());
-    dex.method_refs_.push_back(m);
   }
 
   const auto field_count = r.count();
   dex.field_refs_.reserve(field_count);
   for (std::uint64_t i = 0; i < field_count; ++i) {
-    FieldRef f;
+    FieldRef& f = dex.field_refs_.emplace_back();
     f.class_type = static_cast<std::uint32_t>(r.uleb());
     f.name = static_cast<std::uint32_t>(r.uleb());
     f.type = static_cast<std::uint32_t>(r.uleb());
-    dex.field_refs_.push_back(f);
   }
 
+  // Class defs, methods and instructions are decoded in place in their
+  // final containers.
   const auto class_count = r.count();
   dex.class_defs_.reserve(class_count);
   for (std::uint64_t i = 0; i < class_count; ++i) {
-    ClassDef cls;
+    ClassDef& cls = dex.class_defs_.emplace_back();
     cls.type = static_cast<std::uint32_t>(r.uleb());
     const auto super_plus_one = r.uleb();
     cls.super_type = super_plus_one == 0
@@ -379,22 +383,18 @@ DexFile DexFile::parse(std::span<const std::uint8_t> bytes) {
     const auto method_defs = r.count();
     cls.methods.reserve(method_defs);
     for (std::uint64_t j = 0; j < method_defs; ++j) {
-      MethodDef m;
+      MethodDef& m = cls.methods.emplace_back();
       m.name = static_cast<std::uint32_t>(r.uleb());
       m.proto = static_cast<std::uint32_t>(r.uleb());
       m.access_flags = static_cast<std::uint32_t>(r.uleb());
       if (r.u8() != 0) {
-        MethodCode code;
+        MethodCode& code = m.code.emplace();
         code.register_count = static_cast<std::uint16_t>(r.uleb());
         const auto insns = r.count();
         code.insns.reserve(insns);
-        for (std::uint64_t k = 0; k < insns; ++k)
-          code.insns.push_back(decode_insn(r));
-        m.code = std::move(code);
+        for (std::uint64_t k = 0; k < insns; ++k) decode_insn(r, code.insns);
       }
-      cls.methods.push_back(std::move(m));
     }
-    dex.class_defs_.push_back(std::move(cls));
   }
 
   if (!r.at_end()) throw ParseError("trailing bytes after class defs");

@@ -35,6 +35,22 @@ inline constexpr std::uint32_t kAccAbstract = 0x0400;
 inline constexpr std::uint32_t kAccNative = 0x0100;
 inline constexpr std::uint32_t kAccSynthetic = 0x1000;
 
+/// Modelled in-memory sizes, in bytes, that the memory meter charges per
+/// decoded structure (DexFile::footprint_bytes, class_footprint_bytes).
+/// They are the x86-64 libstdc++ layout sizes the model was calibrated on,
+/// fixed rather than taken from sizeof, so the peak_bytes in every journal
+/// row stays put when the decoded layout or the toolchain changes.
+namespace modelled_size {
+inline constexpr std::uint64_t kInstruction = 48;
+inline constexpr std::uint64_t kMethodCode = 32;
+inline constexpr std::uint64_t kMethodDef = 56;
+inline constexpr std::uint64_t kClassDef = 64;
+inline constexpr std::uint64_t kProto = 32;
+inline constexpr std::uint64_t kMethodRef = 12;
+inline constexpr std::uint64_t kFieldRef = 12;
+inline constexpr std::uint64_t kString = 32;  ///< std::string, excluding text
+}  // namespace modelled_size
+
 /// Method prototype: return type + parameter types, as type-pool indices.
 struct Proto {
   std::uint32_t return_type = kNoIndex;

@@ -40,15 +40,13 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-std::uint8_t ByteReader::u8() {
-  require(1);
-  return data_[pos_++];
-}
+void ByteReader::truncated() { throw ParseError("truncated input"); }
 
 std::uint16_t ByteReader::u16() {
   require(2);
-  const std::uint16_t lo = u8();
-  const std::uint16_t hi = u8();
+  const std::uint16_t lo = data_[pos_];
+  const std::uint16_t hi = data_[pos_ + 1];
+  pos_ += 2;
   return static_cast<std::uint16_t>(lo | (hi << 8));
 }
 
@@ -66,7 +64,7 @@ std::uint64_t ByteReader::u64() {
   return lo | (hi << 32);
 }
 
-std::uint64_t ByteReader::uleb() {
+std::uint64_t ByteReader::uleb_multibyte() {
   std::uint64_t result = 0;
   int shift = 0;
   for (;;) {
@@ -92,11 +90,15 @@ std::uint64_t ByteReader::count(std::uint64_t min_element_bytes) {
 }
 
 std::string ByteReader::str() {
-  const std::uint64_t n = uleb();
+  const auto bytes = take(uleb());
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+std::span<const std::uint8_t> ByteReader::take(std::uint64_t n) {
   require(n);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-  pos_ += n;
-  return s;
+  const auto view = data_.subspan(pos_, static_cast<std::size_t>(n));
+  pos_ += static_cast<std::size_t>(n);
+  return view;
 }
 
 }  // namespace saintdroid

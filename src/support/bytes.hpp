@@ -50,13 +50,27 @@ class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
+  std::uint8_t u8() {
+    if (pos_ == data_.size()) truncated();
+    return data_[pos_++];
+  }
   std::uint16_t u16();
   std::uint32_t u32();
   std::uint64_t u64();
-  std::uint64_t uleb();
+
+  /// Unsigned LEB128 varint; single-byte values (the common case for pool
+  /// indices and registers) decode inline.
+  std::uint64_t uleb() {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) return data_[pos_++];
+    return uleb_multibyte();
+  }
   std::int64_t sleb();
   std::string str();
+
+  /// The next `n` bytes as a view into the reader's input, consumed. The
+  /// view aliases the input, so it carries the same lifetime requirement.
+  /// Throws ParseError when fewer than `n` bytes remain.
+  std::span<const std::uint8_t> take(std::uint64_t n);
 
   /// Reads a ULEB element count and validates it against the bytes left:
   /// every element encodes to at least `min_element_bytes`, so any larger
@@ -73,9 +87,11 @@ class ByteReader {
   bool at_end() const { return pos_ == data_.size(); }
 
  private:
-  void require(std::size_t n) const {
-    if (remaining() < n) throw ParseError("truncated input");
+  void require(std::uint64_t n) const {
+    if (remaining() < n) truncated();
   }
+  [[noreturn]] static void truncated();
+  std::uint64_t uleb_multibyte();
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

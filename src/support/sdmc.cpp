@@ -1,11 +1,13 @@
 #include "support/sdmc.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "support/bytes.hpp"
 #include "support/errors.hpp"
@@ -98,14 +100,23 @@ void write_file_atomic(const std::string& path,
 
 std::optional<std::vector<std::uint8_t>> read_file_bytes(
     const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
+  // One open, one fstat for the size, one sized read into the result.
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file{
+      std::fopen(path.c_str(), "rb"), &std::fclose};
+  if (!file) {
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) return std::nullopt;
-    throw ConfigError("cannot read cache file " + path);
+    throw ConfigError("cannot read " + path);
   }
-  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>()};
+  struct stat st {};
+  if (::fstat(::fileno(file.get()), &st) != 0 || !S_ISREG(st.st_mode))
+    throw ConfigError("cannot read " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+  const std::size_t got =
+      std::fread(bytes.data(), 1, bytes.size(), file.get());
+  if (std::ferror(file.get())) throw ConfigError("cannot read " + path);
+  bytes.resize(got);  // shorter only if the file shrank after fstat
+  return bytes;
 }
 
 }  // namespace saintdroid

@@ -87,7 +87,7 @@ void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 
 /// Reads a whole file; nullopt when it does not exist. Throws ConfigError
-/// on a file that exists but cannot be read.
+/// on a path that exists but is not a readable regular file.
 std::optional<std::vector<std::uint8_t>> read_file_bytes(
     const std::string& path);
 

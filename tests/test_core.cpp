@@ -312,6 +312,28 @@ TEST(Facade, ReportsResourceUsage) {
   EXPECT_GT(result.usage.loaded_classes, 0u);
 }
 
+// The modelled memory accounting, pinned to its reference values: every
+// journal row carries peak_bytes and loaded_classes, so the per-structure
+// sizes the meter charges must not move when the decoded layout does.
+TEST(Facade, MemoryAccountingIsPinned) {
+  auto b = make_builder("pinned", 14, 27);
+  b.api_call(cat::get_color_state_list());
+  b.api_call(cat::get_color_state_list(), GuardMode::kNone,
+             Placement::kSecondaryDex);
+  b.pad_to(5000);
+  const auto built = b.build();
+  SaintDroidOptions eager_options;
+  eager_options.lazy_loading = false;
+  SaintDroid eager{repo(), eager_options};
+  const auto lazy_result = tool().analyze(built.apk);
+  const auto eager_result = eager.analyze(built.apk);
+  EXPECT_EQ(lazy_result.usage.peak_bytes, 301818u);
+  EXPECT_EQ(lazy_result.usage.loaded_classes, 32u);
+  EXPECT_EQ(eager_result.usage.peak_bytes, 3552608u);
+  EXPECT_EQ(eager_result.usage.loaded_classes, 2190u);
+  EXPECT_EQ(built.apk.dexes[0].footprint_bytes(), 293441u);
+}
+
 TEST(Facade, EagerConfigurationLoadsMore) {
   auto b = make_builder("eager", 14, 27);
   b.api_call(cat::get_color_state_list());

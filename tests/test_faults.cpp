@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/outcome.hpp"
 #include "core/saintdroid.hpp"
@@ -336,7 +337,7 @@ TEST_F(FaultSuite, UnlimitedBudgetMatchesDefaultRun) {
 // --- journal -------------------------------------------------------------------
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
+  return process_temp_path(name);
 }
 
 TEST(Journal, RowRoundTripsThroughJsonl) {

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_root.hpp"
 #include "adf/image.hpp"
 #include "adf/repository.hpp"
 #include "core/arm.hpp"
@@ -148,6 +149,60 @@ TEST(Fuzz, ApkContainerMutations) {
     } catch (const ParseError&) {
     }
   }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
+  for (const auto b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+// The decoder's verdicts, pinned to the reference decoder's. Inputs are
+// every truncation of a two-dex APK (so cuts land inside the second dex
+// window and on its boundaries) plus a seeded set of single-bit flips. The
+// digest folds in, per input, whether Apk::parse accepted it and, if so,
+// the bytes the accepted APK re-serializes to: a decoder that accepts
+// anything the reference rejected, or decodes anything differently, moves
+// the digest.
+TEST(Fuzz, ApkDecoderVerdictsArePinned) {
+  AppBuilder b{"verdicts", "com.fuzz.verdicts",
+               FrameworkRepository::standard().spec()};
+  b.sdk(16, 26);
+  b.api_call(catalog::get_color_state_list(), GuardMode::kNone,
+             Placement::kSecondaryDex);
+  b.api_call(catalog::get_color_state_list(), GuardMode::kLocalViaField);
+  b.pad_to(200);
+  const Apk app = b.build().apk;
+  ASSERT_EQ(app.dexes.size(), 2u);
+  const auto base = app.serialize();
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t accepted = 0;
+  const auto judge = [&](std::span<const std::uint8_t> input) {
+    std::uint8_t verdict = 0;
+    std::vector<std::uint8_t> decoded;
+    try {
+      decoded = Apk::parse(input).serialize();
+      verdict = 1;
+    } catch (const ParseError&) {
+    }
+    accepted += verdict;
+    digest = fnv1a(digest, {&verdict, 1});
+    digest = fnv1a(digest, decoded);
+  };
+  for (std::size_t cut = 0; cut <= base.size(); ++cut)
+    judge({base.data(), cut});
+  Rng rng{0xD1E5ULL};
+  for (int trial = 0; trial < 4000; ++trial) {
+    auto bytes = base;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
+    bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
+    judge(bytes);
+  }
+  // Reference values, recorded with the copy-per-window decoder.
+  EXPECT_EQ(base.size(), 3694u);
+  EXPECT_EQ(accepted, 2644u);
+  EXPECT_EQ(digest, 0x033f6e710699eadbULL);
 }
 
 TEST(Fuzz, FrameworkImageTruncationSweep) {
@@ -708,7 +763,7 @@ TEST(ServeFuzz, CorruptStateDirFilesLoadWithoutCrashing) {
   // A state directory mauled by a crash: torn tails, bit-flipped lines,
   // binary garbage spliced between valid records. RequestJournal::load and
   // the ResultCache constructor must skip the damage and keep the rest.
-  const std::string root = ::testing::TempDir() + "serve_fuzz_state";
+  const std::string root = process_temp_path("serve_fuzz_state");
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
   const AcceptedRequest keep{"r-keep", "1111222233334444", "app-keep",
@@ -963,7 +1018,7 @@ TEST(LeaseFuzz, CorruptLeaseFilesAreReclaimedNeverCrashOrDoubleAssign) {
   // On-disk sweep of the reclaim contract: scribble over claim files in
   // every style and verify the protocol's response is always "reissue",
   // never a crash and never a silent double assignment.
-  const std::string root = ::testing::TempDir() + "lease_fuzz_wd";
+  const std::string root = process_temp_path("lease_fuzz_wd");
   std::filesystem::remove_all(root);
   const WorkDir dir{root};
   WorkQueue queue = lease_fuzz_queue();
@@ -1008,7 +1063,7 @@ TEST(LeaseFuzz, ForgedDuplicateOpenConvergesToOneDoneLease) {
   // with BOTH an open and a claim file. The protocol must converge: the
   // ghost is claimable, execution may be repeated, but the census ends at
   // exactly one done lease and claimants never crash.
-  const std::string root = ::testing::TempDir() + "lease_forge_wd";
+  const std::string root = process_temp_path("lease_forge_wd");
   std::filesystem::remove_all(root);
   const WorkDir dir{root};
   WorkQueue queue = lease_fuzz_queue();
@@ -1071,7 +1126,7 @@ struct HarvestedEntry {
 HarvestedEntry harvest_incr_entry(const std::string& name) {
   const auto& repo = sdmc_fuzz_repo();
   HarvestedEntry out;
-  out.dir = ::testing::TempDir() + "incr_fuzz_" + name;
+  out.dir = process_temp_path("incr_fuzz_" + name);
   std::filesystem::remove_all(out.dir);
 
   SaintDroidOptions options;

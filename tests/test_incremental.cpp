@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/incr_cache.hpp"
 #include "core/saintdroid.hpp"
@@ -47,7 +48,7 @@ FrameworkConfig small_config() {
 }
 
 std::string fresh_cache_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "incr_cache_" + name;
+  const std::string dir = process_temp_path("incr_cache_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -321,8 +322,7 @@ TEST_F(ChainSuite, KilledBatchResumesToScratchRows) {
       std::make_shared<const IncrCache>(fresh_cache_dir("resume"));
   run_suite_parallel(incr_factory(cache), version(0), 4);
 
-  const std::string journal =
-      ::testing::TempDir() + "incr_resume_journal.jsonl";
+  const std::string journal = process_temp_path("incr_resume_journal.jsonl");
   std::filesystem::remove(journal);
 
   SuiteRunOptions killed;

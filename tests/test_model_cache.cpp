@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/model_cache.hpp"
 #include "core/saintdroid.hpp"
@@ -46,7 +47,7 @@ FrameworkConfig small_config() {
 
 /// A fresh, empty cache directory under the test temp root.
 std::string fresh_cache_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "model_cache_" + name;
+  const std::string dir = process_temp_path("model_cache_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

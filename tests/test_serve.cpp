@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/saintdroid.hpp"
 #include "serve/codec.hpp"
@@ -47,7 +48,7 @@ namespace saintdroid {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string root = ::testing::TempDir() + name;
+  const std::string root = process_temp_path(name);
   std::filesystem::remove_all(root);
   return root;
 }
@@ -407,6 +408,7 @@ TEST_F(VetServiceTest, ResubmissionIsServedFromCacheByteIdentically) {
     service.drain();
     ASSERT_EQ(collected.responses.size(), 1u);
     EXPECT_FALSE(collected.responses[0].cached);
+    ASSERT_TRUE(collected.responses[0].row.has_value());
     first_bytes = canonical_row_bytes(*collected.responses[0].row);
 
     Collector again;
@@ -414,6 +416,7 @@ TEST_F(VetServiceTest, ResubmissionIsServedFromCacheByteIdentically) {
     service.submit(request, again.sink());
     ASSERT_EQ(again.responses.size(), 1u);  // synchronous: no analysis
     EXPECT_TRUE(again.responses[0].cached);
+    ASSERT_TRUE(again.responses[0].row.has_value());
     EXPECT_EQ(canonical_row_bytes(*again.responses[0].row), first_bytes);
   }
   // A fresh process over the same state directory inherits the cache.
@@ -426,6 +429,7 @@ TEST_F(VetServiceTest, ResubmissionIsServedFromCacheByteIdentically) {
   warm.submit(request, collected.sink());
   ASSERT_EQ(collected.responses.size(), 1u);
   EXPECT_TRUE(collected.responses[0].cached);
+  ASSERT_TRUE(collected.responses[0].row.has_value());
   EXPECT_EQ(canonical_row_bytes(*collected.responses[0].row), first_bytes);
 }
 
@@ -460,6 +464,7 @@ TEST_F(VetServiceTest, CrashBetweenAcceptAndEnqueueReplaysLosslessly) {
   ASSERT_EQ(collected.responses.size(), 1u);
   EXPECT_TRUE(collected.responses[0].cached);
   EXPECT_EQ(collected.responses[0].status, ServeStatus::kDone);
+  ASSERT_TRUE(collected.responses[0].row.has_value());
   const auto it = reference_->find(collected.responses[0].row->app);
   ASSERT_NE(it, reference_->end());
   EXPECT_EQ(canonical_row_bytes(*collected.responses[0].row), it->second);
@@ -565,6 +570,7 @@ TEST_F(VetServiceTest, TightDeadlineDegradesToFlaggedPartialRow) {
   service.drain();
   ASSERT_EQ(collected.responses.size(), 1u);
   ASSERT_EQ(collected.responses[0].status, ServeStatus::kDone);
+  ASSERT_TRUE(collected.responses[0].row.has_value());
   EXPECT_TRUE(collected.responses[0].row->incomplete)
       << "deadline exhaustion must degrade, not wedge or fail";
 }
@@ -580,6 +586,7 @@ TEST_F(VetServiceTest, PerRequestDeadlineTightensServerDefault) {
   service.drain();
   ASSERT_EQ(collected.responses.size(), 1u);
   ASSERT_EQ(collected.responses[0].status, ServeStatus::kDone);
+  ASSERT_TRUE(collected.responses[0].row.has_value());
   EXPECT_TRUE(collected.responses[0].row->incomplete);
 }
 

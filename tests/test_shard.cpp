@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/saintdroid.hpp"
 #include "support/errors.hpp"
@@ -31,7 +32,7 @@ namespace saintdroid {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return process_temp_path(name);
 }
 
 /// The byte-identity currency: one canonical line per row (seconds

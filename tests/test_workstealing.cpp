@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "temp_root.hpp"
 #include "adf/repository.hpp"
 #include "core/saintdroid.hpp"
 #include "dist/agent.hpp"
@@ -41,7 +42,7 @@ namespace saintdroid {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string root = ::testing::TempDir() + name;
+  const std::string root = process_temp_path(name);
   std::filesystem::remove_all(root);
   return root;
 }
@@ -570,8 +571,8 @@ TEST_F(WorkStealSuite, StealingEqualsStaticShardsPlusMerge) {
   const int shards = 3;
   std::vector<std::string> files;
   for (int s = 0; s < shards; ++s) {
-    const std::string path = ::testing::TempDir() + "ws_static_" +
-                             std::to_string(s) + "of3.jsonl";
+    const std::string path = process_temp_path(
+        "ws_static_" + std::to_string(s) + "of3.jsonl");
     SuiteRunOptions options;
     options.jobs = 2;
     options.journal_path = path;

@@ -94,6 +94,7 @@
 #include "support/errors.hpp"
 #include "support/shutdown.hpp"
 #include "support/meter.hpp"
+#include "support/sdmc.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/harness.hpp"
 #include "workload/journal.hpp"
@@ -103,10 +104,9 @@ namespace sd = saintdroid;
 namespace {
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw sd::Error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+  auto bytes = sd::read_file_bytes(path);
+  if (!bytes) throw sd::Error("cannot open " + path);
+  return std::move(*bytes);
 }
 
 std::vector<int> parse_levels(const std::string& arg) {
