@@ -63,9 +63,9 @@ BENCHMARK(BM_ArmMining)->Unit(benchmark::kMillisecond);
 
 void BM_LazyClassLoad(benchmark::State& state) {
   const sd::Apk apk = make_app(5000);
-  const sd::DexFile& framework = repo().image(26);
+  const auto substrate = repo().substrate(26);
   for (auto _ : state) {
-    sd::ClassLoaderVm vm{apk, framework};
+    sd::ClassLoaderVm vm{apk, substrate};
     benchmark::DoNotOptimize(vm.load("android/app/Activity"));
     benchmark::DoNotOptimize(vm.load("android/view/View"));
   }

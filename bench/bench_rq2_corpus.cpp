@@ -16,10 +16,7 @@
 // After the mismatch-rate study, the corpus doubles as the RQ2 throughput
 // workload: the same apps run through run_suite_parallel serially and with
 // one worker per hardware thread, and both apps/sec figures are written to
-// BENCH_parallel.json so the perf trajectory is tracked per commit. A
-// second axis toggles the shared framework substrate on and off over the
-// corpus's library-heavy stratum (BENCH_substrate.json), with a
-// byte-identity check across jobs {1, 2, 8} and both substrate settings.
+// BENCH_parallel.json so the perf trajectory is tracked per commit.
 //
 // The bench is journal-aware: `--journal <file>` runs the corpus suite
 // through the crash-safe journal and `--resume` merges an existing
@@ -52,19 +49,6 @@
 namespace sd = saintdroid;
 
 namespace {
-
-/// Canonical byte form of a suite: one journal line per row with the
-/// wall-clock field zeroed (timing is the one legitimately nondeterministic
-/// field). Two runs are byte-identical iff these strings match.
-std::string suite_bytes(const sd::SuiteResult& suite) {
-  std::string bytes;
-  for (sd::SuiteAppRow row : suite.rows) {
-    row.usage.seconds = 0.0;
-    bytes += sd::journal_line(row);
-    bytes += '\n';
-  }
-  return bytes;
-}
 
 /// Canonical byte form of a row *set*: sorted by app name, seconds zeroed.
 /// The comparison currency between a single-process SuiteResult and the
@@ -208,15 +192,9 @@ int main(int argc, char** argv) {
     suite_apps.push_back(corpus.generate(i));
 
   const auto db = tool.shared_database();
-  const auto make_factory = [&repo, &db,
-                             &tool_options](bool shared_substrate) {
-    sd::SaintDroidOptions options = tool_options;
-    options.shared_substrate = shared_substrate;
-    return sd::AnalyzerFactory{[&repo, &db, options] {
-      return std::make_unique<sd::SaintDroid>(repo, db, options);
-    }};
+  const sd::AnalyzerFactory factory = [&repo, &db, &tool_options] {
+    return std::make_unique<sd::SaintDroid>(repo, db, tool_options);
   };
-  const sd::AnalyzerFactory factory = make_factory(true);
   const int hw = static_cast<int>(sd::ThreadPool::default_workers());
 
   const auto timed_suite = [&](const sd::AnalyzerFactory& f,
@@ -256,87 +234,6 @@ int main(int argc, char** argv) {
                  serial_aps > 0 ? parallel_aps / serial_aps : 0.0);
     std::fclose(out);
     std::printf("  -> BENCH_parallel.json\n");
-  }
-
-  // --- substrate axis: shared framework substrate on vs off -------------
-  // Measured on the library-heavy stratum of the corpus (the Fig. 3
-  // outliers: library_heavy_fraction of the population, apps whose
-  // defining trait is touching hundreds of distinct framework classes).
-  // That is the regime the substrate exists for — the unshared
-  // configuration re-materializes every touched framework class per
-  // analyzer, the shared one reads the per-level substrate built once per
-  // process. Both settings run the identical slice at jobs=8, and rows
-  // must be byte-identical across both settings and across jobs {1, 2, 8}
-  // — the substrate is a pure caching layer, invisible in every reported
-  // field.
-  sd::CorpusConfig heavy_config = corpus.config();
-  heavy_config.library_heavy_fraction = 1.0;
-  const sd::RealWorldCorpus heavy_corpus{repo, heavy_config};
-  const std::vector<sd::BenchApp> heavy_apps =
-      heavy_corpus.generate_range(0, suite_count, hw);
-  const sd::AnalyzerFactory unshared_factory = make_factory(false);
-
-  double unshared_wall = 0.0;
-  const sd::SuiteResult unshared_suite =
-      timed_suite(unshared_factory, heavy_apps, 8, unshared_wall);
-
-  // Warm every substrate level outside the timed region: the steady-state
-  // cost of the shared configuration is what a long-running batch pays,
-  // not the one-off builds.
-  {
-    std::vector<char> warmed(sd::kMaxApiLevel + 1, 0);
-    for (const auto& app : heavy_apps) {
-      const int level =
-          sd::FrameworkRepository::clamp_level(app.apk.manifest.target_sdk);
-      if (warmed[static_cast<std::size_t>(level)]) continue;
-      warmed[static_cast<std::size_t>(level)] = 1;
-      (void)repo.substrate(level);
-    }
-  }
-  double shared_wall = 0.0;
-  const sd::SuiteResult shared_suite =
-      timed_suite(factory, heavy_apps, 8, shared_wall);
-
-  const std::string reference = suite_bytes(shared_suite);
-  bool deterministic = suite_bytes(unshared_suite) == reference;
-  for (const int jobs : {1, 2, 8}) {
-    double wall = 0.0;
-    deterministic =
-        deterministic &&
-        suite_bytes(timed_suite(factory, heavy_apps, jobs, wall)) ==
-            reference &&
-        suite_bytes(timed_suite(unshared_factory, heavy_apps, jobs, wall)) ==
-            reference;
-  }
-
-  const double ratio =
-      unshared_wall > 0 ? shared_wall / unshared_wall : 0.0;
-  std::printf("\nsubstrate axis over %d library-heavy corpus apps "
-              "(jobs=8):\n"
-              "  unshared  %8.3fs wall\n"
-              "  shared    %8.3fs wall  (%.3fx of unshared)\n"
-              "  byte-identical rows across jobs {1,2,8} x {shared,unshared}:"
-              " %s\n",
-              suite_count, unshared_wall, shared_wall, ratio,
-              deterministic ? "yes" : "NO");
-
-  if (std::FILE* out = std::fopen("BENCH_substrate.json", "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"rq2_substrate_axis\",\n"
-                 "  \"slice\": \"library_heavy\",\n"
-                 "  \"apps\": %d,\n"
-                 "  \"jobs\": 8,\n"
-                 "  \"effective_jobs\": 8,\n"
-                 "  \"unshared_wall_seconds\": %.4f,\n"
-                 "  \"shared_wall_seconds\": %.4f,\n"
-                 "  \"shared_over_unshared\": %.4f,\n"
-                 "  \"deterministic_across_jobs_and_sharing\": %s\n"
-                 "}\n",
-                 suite_count, unshared_wall, shared_wall, ratio,
-                 deterministic ? "true" : "false");
-    std::fclose(out);
-    std::printf("  -> BENCH_substrate.json\n");
   }
 
   // --- journal pass-through: the resumable full-corpus study -------------
@@ -484,8 +381,6 @@ int main(int argc, char** argv) {
     std::fclose(out);
     std::printf("  -> BENCH_shard.json\n");
   }
-  return deterministic && shard_identical && resume_identical &&
-                 resume_skipped_completed
-             ? 0
-             : 1;
+  return shard_identical && resume_identical && resume_skipped_completed ? 0
+                                                                        : 1;
 }

@@ -108,35 +108,22 @@ int main() {
               "on the smallest apps.\n");
 
   // Jobs axis: the same 19-app suite through the parallel batch engine,
-  // serial vs one worker per hardware thread, with the shared framework
-  // substrate on and off. Rows are deterministic per the
-  // run_suite_parallel contract on both axes; only wall-clock varies.
-  // (bench_rq2_corpus owns BENCH_substrate.json; this table is printed
-  // for quick eyeballing on the small suite.)
+  // serial vs one worker per hardware thread. Rows are deterministic per
+  // the run_suite_parallel contract; only wall-clock varies.
   const auto db = saint.shared_database();
-  const auto make_factory = [&repo, &db,
-                             &saint_options](bool shared_substrate) {
-    sd::SaintDroidOptions options = saint_options;
-    options.shared_substrate = shared_substrate;
-    return sd::AnalyzerFactory{[&repo, &db, options] {
-      return std::make_unique<sd::SaintDroid>(repo, db, options);
-    }};
+  const sd::AnalyzerFactory factory = [&repo, &db, &saint_options] {
+    return std::make_unique<sd::SaintDroid>(repo, db, saint_options);
   };
   const int hw = static_cast<int>(sd::ThreadPool::default_workers());
   std::printf("\nsuite throughput (19 apps, shared ARM database):\n");
-  for (const bool shared : {false, true}) {
-    const sd::AnalyzerFactory factory = make_factory(shared);
-    for (const int jobs : {1, hw}) {
-      const sd::Stopwatch watch;
-      const sd::SuiteResult suite =
-          sd::run_suite_parallel(factory, apps, jobs);
-      const double elapsed = watch.seconds();
-      std::printf("  substrate=%-3s jobs=%-2d  %.3fs wall  %.1f apps/sec  "
-                  "(%d failures)\n",
-                  shared ? "on" : "off", jobs, elapsed,
-                  elapsed > 0 ? apps.size() / elapsed : 0.0, suite.failures);
-      if (jobs == hw && hw == 1) break;  // single-core host: one row says it
-    }
+  for (const int jobs : {1, hw}) {
+    const sd::Stopwatch watch;
+    const sd::SuiteResult suite = sd::run_suite_parallel(factory, apps, jobs);
+    const double elapsed = watch.seconds();
+    std::printf("  jobs=%-2d  %.3fs wall  %.1f apps/sec  (%d failures)\n",
+                jobs, elapsed, elapsed > 0 ? apps.size() / elapsed : 0.0,
+                suite.failures);
+    if (hw == 1) break;  // single-core host: one row says it
   }
   return 0;
 }

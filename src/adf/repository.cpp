@@ -55,31 +55,10 @@ const DexFile& FrameworkRepository::image(int level) const {
   return *slot;
 }
 
-const FrameworkClassIndex& FrameworkRepository::class_index(int level) const {
-  const std::size_t slot_idx =
-      static_cast<std::size_t>(clamp_level(level));
-  auto& slot = indexes_[slot_idx];
-  index_once_[slot_idx].call([&] {
-    const DexFile& dex = image(static_cast<int>(slot_idx));
-    FrameworkClassIndex index;
-    index.reserve(dex.classes().size());
-    for (const auto& cls : dex.classes())
-      index.emplace(dex.type_name(cls.type), &cls);
-    slot = std::move(index);
-  });
-  return *slot;
-}
-
 std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
-    int level, SubstrateOptions options) const {
+    int level) const {
   const int lvl = clamp_level(level);
-  SubstrateSlot* slot = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock{substrate_mutex_};
-    auto& entry = substrates_[SubstrateKey{lvl, options.index_methods}];
-    if (!entry) entry = std::make_unique<SubstrateSlot>();
-    slot = entry.get();
-  }
+  SubstrateSlot* slot = &substrates_[static_cast<std::size_t>(lvl)];
   // Build the image before entering the substrate's fault context so an
   // "adf.image" fault keeps its own (app-scoped) attribution.
   const DexFile& img = image(lvl);
@@ -106,15 +85,16 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
       key.kind = SdmcKind::kSubstrateTables;
       key.fingerprint = fingerprint_;
       key.level = lvl;
-      key.options = options.index_methods ? 1u : 0u;
+      // Option bit 0 and the "-m1" suffix name the method tables every
+      // substrate carries; both stay so existing cache entries still hit.
+      key.options = 1u;
       cache_path = cache_dir + "/substrate-" + fingerprint_ + "-L" +
-                   std::to_string(lvl) + "-m" +
-                   (options.index_methods ? "1" : "0") + ".sdmc";
+                   std::to_string(lvl) + "-m1.sdmc";
       try {
         if (const auto blob = read_file_bytes(cache_path)) {
           const std::vector<std::uint8_t> tables = sdmc_open(*blob, key);
-          slot->value = std::make_shared<const FrameworkSubstrate>(
-              img, lvl, options, tables);
+          slot->value =
+              std::make_shared<const FrameworkSubstrate>(img, lvl, tables);
           substrate_cache_hits_.fetch_add(1, std::memory_order_relaxed);
         }
       } catch (const Error&) {
@@ -122,8 +102,7 @@ std::shared_ptr<const FrameworkSubstrate> FrameworkRepository::substrate(
       }
     }
     if (!slot->value) {
-      slot->value =
-          std::make_shared<const FrameworkSubstrate>(img, lvl, options);
+      slot->value = std::make_shared<const FrameworkSubstrate>(img, lvl);
       if (!cache_path.empty()) {
         try {
           write_file_atomic(cache_path,

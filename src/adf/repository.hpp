@@ -6,24 +6,21 @@
 // cached for the repository's lifetime; standard() provides a process-wide
 // immutable default so tests and benches share one build.
 //
-// Besides the raw images and their class-name indexes, the repository
-// caches one FrameworkSubstrate per (level, SubstrateOptions) key — the
-// shared, immutable, eagerly-materialized framework layer of the class
-// hierarchy that per-app analyses point into instead of re-materializing
-// (see clvm/substrate.hpp and docs/ARCHITECTURE.md). Each key is built
-// once under its own exception-safe once-guard and handed out as shared_ptr<const>.
+// Besides the raw images, the repository caches one FrameworkSubstrate per
+// level — the shared, immutable, eagerly-materialized framework layer of
+// the class hierarchy that per-app analyses point into (see
+// clvm/substrate.hpp and docs/ARCHITECTURE.md). Each level is built once
+// under its own exception-safe once-guard and handed out as
+// shared_ptr<const>.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "adf/image.hpp"
 #include "adf/synthetic.hpp"
@@ -31,11 +28,6 @@
 #include "support/once.hpp"
 
 namespace saintdroid {
-
-/// Name -> definition lookup over one framework image; built once per
-/// level and shared by every analysis against that level.
-using FrameworkClassIndex =
-    std::unordered_map<std::string, const ClassDef*>;
 
 class FrameworkRepository {
  public:
@@ -50,21 +42,20 @@ class FrameworkRepository {
   /// one repository safely serves N analysis workers.
   const DexFile& image(int level) const;
 
-  /// Class-name index over image(level); built once and cached alongside
-  /// the image, so per-app loaders need not rescan the framework's class
-  /// table. Same concurrency contract as image().
-  const FrameworkClassIndex& class_index(int level) const;
-
-  /// The shared framework substrate for (level, options), built on first
-  /// request under a per-key once-guard and immutable afterwards. The
+  /// The shared framework substrate for `level`, built on first request
+  /// under a per-level once-guard and immutable afterwards. The
   /// returned handle stays valid past the call (workers hold it across an
   /// analysis), but the repository must outlive every handle — substrate
   /// classes point into the repository's image. A build failure (e.g. an
   /// injected "adf.substrate" fault, fired under the level-scoped context
   /// "substrate:level<L>") propagates without satisfying the guard, so
   /// the next caller retries — one poisoned level never sinks the others.
+  std::shared_ptr<const FrameworkSubstrate> substrate(int level) const;
+  /// Kept only because perfbench/staged.cpp calls this signature.
   std::shared_ptr<const FrameworkSubstrate> substrate(
-      int level, SubstrateOptions options = {}) const;
+      int level, SubstrateOptions /*options*/) const {
+    return substrate(level);
+  }
 
   /// Completed substrate builds over this repository's lifetime — lets the
   /// stampede test assert that N concurrent first requests build once.
@@ -79,7 +70,7 @@ class FrameworkRepository {
 
   /// Points substrate materialization at an on-disk model cache: every
   /// substrate slot built after this call first tries to load its
-  /// structural tables from `dir` (`substrate-<fingerprint>-L<level>-m<o>
+  /// structural tables from `dir` (`substrate-<fingerprint>-L<level>-m1
   /// .sdmc`) and rebind instead of re-deriving them from instruction
   /// streams; a miss builds normally and publishes the tables
   /// rename-atomically, so concurrent shard processes can share one
@@ -113,10 +104,6 @@ class FrameworkRepository {
     std::atomic<std::uint32_t> attempts{0};
     std::shared_ptr<const FrameworkSubstrate> value;
   };
-  // (clamped level, options) -> slot; the map only hands out stable slot
-  // pointers, the build itself runs under the slot's once-guard outside the
-  // map lock so one slow level never serializes the others.
-  using SubstrateKey = std::pair<int, bool>;
 
   FrameworkConfig cfg_;
   FrameworkSpec spec_;
@@ -127,7 +114,7 @@ class FrameworkRepository {
   mutable std::string model_cache_dir_;
   mutable std::atomic<std::uint64_t> substrate_cache_hits_{0};
   mutable std::atomic<std::uint64_t> substrate_cache_stores_{0};
-  // Lazily built per level. The RetryOnce arrays serialize only the first
+  // Lazily built per level. The RetryOnce guards serialize only the first
   // build of each slot (and, unlike std::call_once, stay retryable under
   // sanitizers when a build throws — see support/once.hpp); after the
   // guarded build returns, the slot is immutable and read lock-free on
@@ -136,11 +123,7 @@ class FrameworkRepository {
   mutable std::array<RetryOnce, kMaxApiLevel + 1> image_once_;
   mutable std::array<std::atomic<std::uint32_t>, kMaxApiLevel + 1>
       image_attempts_{};
-  mutable std::array<std::optional<FrameworkClassIndex>, kMaxApiLevel + 1>
-      indexes_;
-  mutable std::array<RetryOnce, kMaxApiLevel + 1> index_once_;
-  mutable std::mutex substrate_mutex_;
-  mutable std::map<SubstrateKey, std::unique_ptr<SubstrateSlot>> substrates_;
+  mutable std::array<SubstrateSlot, kMaxApiLevel + 1> substrates_;
   mutable std::atomic<std::uint64_t> substrate_builds_{0};
 };
 

@@ -139,7 +139,11 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
                                  std::vector<RegFact>& regs,
                                  std::unordered_map<std::uint32_t, RegFact>&
                                      fields) {
-    std::optional<ApiInterval> pending_predicate;
+    // Flag plus value rather than std::optional: GCC 12 cannot see that
+    // the optional's payload is set whenever it is engaged and warns
+    // (-Wmaybe-uninitialized) at the read below.
+    bool has_pending = false;
+    ApiInterval pending_predicate;
     for (std::uint32_t i = block.first; i <= block.last; ++i) {
       const Instruction& insn = code.insns[i];
       switch (insn.op) {
@@ -178,13 +182,16 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
           break;
         case Opcode::kInvoke:
           if (options.enabled && options.track_registers &&
-              predicates != nullptr)
-            pending_predicate = (*predicates)(insn.index);
+              predicates != nullptr) {
+            const auto predicate = (*predicates)(insn.index);
+            has_pending = predicate.has_value();
+            if (predicate) pending_predicate = *predicate;
+          }
           break;
         case Opcode::kMoveResult:
           if (insn.reg_a < regs.size())
-            regs[insn.reg_a] = pending_predicate
-                                   ? RegFact::predicate(*pending_predicate)
+            regs[insn.reg_a] = has_pending
+                                   ? RegFact::predicate(pending_predicate)
                                    : RegFact::unknown();
           break;
         case Opcode::kConstString:
@@ -196,7 +203,7 @@ GuardResult analyze_guards(const DexFile& dex, const MethodCode& code,
         default:
           break;
       }
-      if (insn.op != Opcode::kInvoke) pending_predicate.reset();
+      if (insn.op != Opcode::kInvoke) has_pending = false;
     }
   };
 

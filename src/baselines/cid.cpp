@@ -2,9 +2,9 @@
 
 #include "adf/spec.hpp"
 #include "analysis/cfg.hpp"
-#include "baselines/flat_scan.hpp"
 #include "clvm/clvm.hpp"
 #include "core/amd.hpp"
+#include "core/aum.hpp"
 #include "hierarchy/hierarchy.hpp"
 #include "support/meter.hpp"
 

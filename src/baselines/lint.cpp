@@ -1,9 +1,7 @@
 #include "baselines/lint.hpp"
 
-#include "baselines/flat_scan.hpp"
-#include "clvm/clvm.hpp"
 #include "core/amd.hpp"
-#include "hierarchy/hierarchy.hpp"
+#include "core/aum.hpp"
 #include "support/meter.hpp"
 
 namespace saintdroid {
@@ -11,8 +9,7 @@ namespace saintdroid {
 LintAnalyzer::LintAnalyzer(const FrameworkRepository& repo,
                            LintOptions options,
                            std::shared_ptr<const ApiDatabase> database)
-    : repo_(&repo),
-      options_(options),
+    : options_(options),
       db_(database ? std::move(database) : shared_api_database(repo)) {}
 
 AnalysisResult LintAnalyzer::analyze(const Apk& apk) {
@@ -46,22 +43,15 @@ AnalysisResult LintAnalyzer::analyze(const Apk& apk) {
   }
   (void)build_checksum;
 
-  const int level = FrameworkRepository::clamp_level(apk.manifest.target_sdk);
-  // Lint sees the SDK the project compiles against; memory-wise it holds
-  // the app plus the compile-time API stubs (we account the app only —
-  // Lint is not part of the Fig. 4 comparison).
-  ClassLoaderVm provider{apk, repo_->image(level), /*include_secondary=*/false,
-                         &repo_->class_index(level)};
-  ClassHierarchy hierarchy{provider};
-
-  FlatScanOptions scan;
-  scan.guards.track_registers = false;  // lexical SDK_INT recognition only
-  scan.guards.track_fields = false;
   // Lint matches calls against its api-versions.xml by the declared
-  // receiver; it does not resolve through the class hierarchy.
-  scan.resolve_framework_receivers = false;
+  // receiver, with lexical SDK_INT recognition only; it never resolves
+  // through the class hierarchy, so it loads no class and its rows report
+  // no memory (Lint is not part of the Fig. 4 comparison).
+  GuardOptions guards;
+  guards.track_registers = false;
+  guards.track_fields = false;
   UsageModel model;
-  model.api_calls = flat_scan(apk, hierarchy, *db_, scan);
+  model.api_calls = flat_scan(apk, *db_, guards);
   if (options_.stale_database) {
     // Drop everything its stale database has no entry for.
     std::erase_if(model.api_calls, [](const ApiCallSite& site) {
@@ -80,8 +70,6 @@ AnalysisResult LintAnalyzer::analyze(const Apk& apk) {
   result.mismatches = amd.detect(apk.manifest, model);
 
   result.usage.seconds = watch.seconds();
-  result.usage.peak_bytes = provider.memory().peak_bytes();
-  result.usage.loaded_classes = provider.loaded_class_count();
   return result;
 }
 

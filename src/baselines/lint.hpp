@@ -54,7 +54,6 @@ class LintAnalyzer final : public Analyzer {
   bool detects(MismatchKind kind) const override;
 
  private:
-  const FrameworkRepository* repo_;
   LintOptions options_;
   std::shared_ptr<const ApiDatabase> db_;
 };

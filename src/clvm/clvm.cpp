@@ -1,5 +1,6 @@
 #include "clvm/clvm.hpp"
 
+#include "support/errors.hpp"
 #include "support/faults.hpp"
 
 namespace saintdroid {
@@ -40,44 +41,26 @@ LoadedClass materialize_loaded_class(const DexFile& dex, const ClassDef& def,
 // ---------------------------------------------------------------------------
 // ClassLoaderVm
 
-ClassLoaderVm::ClassLoaderVm(const Apk& apk, const DexFile& framework,
-                             bool include_secondary_dexes,
-                             const ClassNameIndex* framework_index,
-                             BudgetTracker* budget,
-                             std::shared_ptr<const FrameworkSubstrate> substrate)
-    : apk_(&apk),
-      framework_(&framework),
-      budget_(budget),
-      substrate_(std::move(substrate)) {
+ClassLoaderVm::ClassLoaderVm(
+    const Apk& apk, std::shared_ptr<const FrameworkSubstrate> substrate,
+    bool include_secondary_dexes, BudgetTracker* budget)
+    : budget_(budget), substrate_(std::move(substrate)) {
+  if (!substrate_)
+    throw ConfigError("ClassLoaderVm needs a framework substrate");
   const std::size_t dex_limit =
       include_secondary_dexes ? apk.dexes.size() : std::size_t{1};
   for (std::size_t d = 0; d < dex_limit; ++d)
     for (const auto& cls : apk.dexes[d].classes())
       index_.emplace(apk.dexes[d].type_name(cls.type),
-                     Source{&apk.dexes[d], &cls, false});
-  // With a substrate attached, framework lookups never touch an index.
-  if (substrate_) return;
-  if (framework_index) {
-    framework_index_ = framework_index;
-  } else {
-    owned_framework_index_.reserve(framework.classes().size());
-    for (const auto& cls : framework.classes())
-      owned_framework_index_.emplace(framework.type_name(cls.type), &cls);
-    framework_index_ = &owned_framework_index_;
-  }
+                     Source{&apk.dexes[d], &cls});
 }
 
-const LoadedClass* ClassLoaderVm::insert_owned(const std::string& name,
-                                               const DexFile& dex,
-                                               const ClassDef& def,
-                                               bool from_framework) {
-  owned_.push_back(std::make_unique<LoadedClass>(
-      materialize_loaded_class(dex, def, from_framework)));
-  const LoadedClass* loaded = owned_.back().get();
-  memory_.allocate(loaded->footprint);
-  cache_.emplace(name, loaded);
-  return loaded;
-}
+ClassLoaderVm::ClassLoaderVm(
+    const Apk& apk, const DexFile& /*framework*/, bool include_secondary_dexes,
+    std::nullptr_t /*framework_index*/, BudgetTracker* budget,
+    std::shared_ptr<const FrameworkSubstrate> substrate)
+    : ClassLoaderVm(apk, std::move(substrate), include_secondary_dexes,
+                    budget) {}
 
 const LoadedClass* ClassLoaderVm::load(const std::string& name) {
   if (const auto it = cache_.find(name); it != cache_.end())
@@ -89,22 +72,20 @@ const LoadedClass* ClassLoaderVm::load(const std::string& name) {
   SD_FAULT_POINT("clvm.materialize");
   // App classes shadow framework classes of the same name (same as the
   // runtime's delegation order for the packaged classloader path we model).
-  if (const auto it = index_.find(name); it != index_.end())
-    return insert_owned(name, *it->second.dex, *it->second.def, false);
-  if (substrate_) {
+  const LoadedClass* loaded = nullptr;
+  if (const auto it = index_.find(name); it != index_.end()) {
+    owned_.push_back(std::make_unique<LoadedClass>(materialize_loaded_class(
+        *it->second.dex, *it->second.def, /*from_framework=*/false)));
+    loaded = owned_.back().get();
+  } else {
     // Shared framework layer: hand out the substrate's pointer, charging
-    // its precomputed footprint — the same bytes a private copy costs, so
-    // peak_bytes/loaded_classes match the unshared run exactly.
-    const LoadedClass* loaded = substrate_->find_class(name);
+    // its precomputed footprint — the bytes a private copy would cost.
+    loaded = substrate_->find_class(name);
     if (loaded == nullptr) return nullptr;
-    memory_.allocate(loaded->footprint);
-    cache_.emplace(name, loaded);
-    return loaded;
   }
-  if (const auto fit = framework_index_->find(name);
-      fit != framework_index_->end())
-    return insert_owned(name, *framework_, *fit->second, true);
-  return nullptr;
+  memory_.allocate(loaded->footprint);
+  cache_.emplace(name, loaded);
+  return loaded;
 }
 
 const LoadedClass* ClassLoaderVm::load_framework(const LoadedClass* cls,
@@ -118,7 +99,7 @@ const LoadedClass* ClassLoaderVm::load_framework(const LoadedClass* cls,
   if (slot < substrate_loaded_.size() && substrate_loaded_[slot]) return cls;
   const LoadedClass* loaded = load(cls->name);
   if (loaded == cls) {
-    if (substrate_loaded_.empty() && substrate_)
+    if (substrate_loaded_.empty())
       substrate_loaded_.resize(substrate_->class_count(), 0);
     if (slot < substrate_loaded_.size()) substrate_loaded_[slot] = 1;
   }

@@ -8,12 +8,12 @@
 // proportional to what it actually reached — the property that makes
 // SAINTDroid ~4x leaner than eager-loading tools (Fig. 4).
 //
-// Framework classes may come from a shared FrameworkSubstrate (see
-// clvm/substrate.hpp): the VM then hands out pointers into the immutable
-// shared layer instead of materializing private copies, while charging the
-// same footprint and counting the class in loaded_class_count() exactly as
-// a private copy would — accounting (and therefore every reported number)
-// is byte-identical with or without sharing; only the work moves.
+// Framework classes come from the shared FrameworkSubstrate of the
+// analysis level (see clvm/substrate.hpp): the VM hands out pointers into
+// the immutable shared layer instead of materializing private copies,
+// charging each class's precomputed footprint and counting it in
+// loaded_class_count() on first load — accounting is per analysis even
+// though the objects are shared.
 //
 // EagerLoader is the contrasting strategy used by the CID baseline: it
 // materializes every app class and the entire framework image up front
@@ -21,6 +21,7 @@
 // §II-D).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -32,32 +33,29 @@
 
 namespace saintdroid {
 
-/// Name -> definition index over one container (see
-/// FrameworkRepository::class_index for the shared framework instance).
-using ClassNameIndex = std::unordered_map<std::string, const ClassDef*>;
-
 /// Lazy, demand-driven class loader.
 class ClassLoaderVm : public ClassProvider {
  public:
-  /// `apk` and `framework` must outlive the VM. `include_secondary_dexes`
+  /// `apk` must outlive the VM; `substrate` is the framework layer of the
+  /// analysis level and must be non-null. `include_secondary_dexes`
   /// controls whether late-bound code is visible (SAINTDroid: yes).
-  /// `framework_index`, when provided, is a prebuilt name index over
-  /// `framework` (built once per framework level and shared across app
-  /// analyses); without it the VM indexes the framework itself.
   /// `budget`, when provided, caps materialization: once the tracker's
   /// class budget is exhausted, load() of a not-yet-cached class returns
   /// nullptr (degrading exactly like an unknown class) instead of
   /// materializing — the cooperative backstop that keeps a pathological
   /// hierarchy from sinking a batch run.
-  /// `substrate`, when provided, is the shared immutable framework layer
-  /// for `framework`'s level: framework loads resolve to substrate
-  /// pointers (no private copy, no index needed) with identical shadowing,
-  /// budget, fault, and accounting semantics.
-  ClassLoaderVm(const Apk& apk, const DexFile& framework,
+  ClassLoaderVm(const Apk& apk,
+                std::shared_ptr<const FrameworkSubstrate> substrate,
                 bool include_secondary_dexes = true,
-                const ClassNameIndex* framework_index = nullptr,
-                BudgetTracker* budget = nullptr,
-                std::shared_ptr<const FrameworkSubstrate> substrate = nullptr);
+                BudgetTracker* budget = nullptr);
+
+  /// Kept only because perfbench/staged.cpp calls this signature: the
+  /// image is ignored, and the index slot must be null. Throws ConfigError
+  /// when `substrate` is null.
+  ClassLoaderVm(const Apk& apk, const DexFile& framework,
+                bool include_secondary_dexes, std::nullptr_t framework_index,
+                BudgetTracker* budget,
+                std::shared_ptr<const FrameworkSubstrate> substrate);
 
   const LoadedClass* load(const std::string& name) override;
   const LoadedClass* load_framework(const LoadedClass* cls,
@@ -66,29 +64,18 @@ class ClassLoaderVm : public ClassProvider {
   const MemoryMeter& memory() const override;
 
  private:
+  // Name -> definition over the app's containers; building the index
+  // reads only class headers and is not charged as materialization.
   struct Source {
     const DexFile* dex = nullptr;
     const ClassDef* def = nullptr;
-    bool framework = false;
   };
-
-  const LoadedClass* insert_owned(const std::string& name, const DexFile& dex,
-                                  const ClassDef& def, bool from_framework);
-
-  const Apk* apk_;
-  const DexFile* framework_;
-  // Name -> definition index over the app's containers; building the
-  // index reads only class headers and is not charged as materialization.
-  // Framework lookups go through the substrate when one is attached, else
-  // through the (possibly shared) framework index.
   std::unordered_map<std::string, Source> index_;
-  const ClassNameIndex* framework_index_ = nullptr;  // shared, not owned
-  ClassNameIndex owned_framework_index_;             // fallback
-  BudgetTracker* budget_ = nullptr;                  // optional, not owned
-  std::shared_ptr<const FrameworkSubstrate> substrate_;  // optional
-  // Classes this analysis touched: app classes (and unshared framework
-  // classes) are owned here; shared framework classes point into the
-  // substrate. unique_ptr keeps owned pointers stable across rehash.
+  BudgetTracker* budget_ = nullptr;  // optional, not owned
+  std::shared_ptr<const FrameworkSubstrate> substrate_;
+  // Classes this analysis touched: app classes are owned here, framework
+  // classes point into the substrate. unique_ptr keeps owned pointers
+  // stable across rehash.
   std::unordered_map<std::string, const LoadedClass*> cache_;
   std::vector<std::unique_ptr<LoadedClass>> owned_;
   // Per-slot "this substrate class is loaded (and unshadowed)" flags: the

@@ -1,17 +1,13 @@
 // FrameworkSubstrate: the shared, immutable framework layer of the class
-// hierarchy.
+// hierarchy, and the only source of framework classes for the lazy loader.
 //
 // Every analysis at level L sees the same framework classes — the same
-// names, the same superclass edges, the same method tables — yet the
-// per-analysis ClassLoaderVm used to re-materialize each framework class it
-// touched (string building plus a full instruction walk for the footprint)
-// for every app in a batch. The substrate hoists that work out of the
-// per-app loop: it eagerly materializes every framework class of one
-// (level, options) image into stable LoadedClass objects exactly once, and
-// per-app loaders hand out pointers into it, charging the precomputed
-// footprint so memory accounting stays byte-identical to private
-// materialization. FrameworkRepository caches one substrate per
-// (level, options) key under an exception-safe once-guard and shares it as
+// names, the same superclass edges, the same method tables. The substrate
+// materializes every framework class of one level's image into stable
+// LoadedClass objects exactly once; per-app loaders hand out pointers into
+// it, charging the precomputed footprint so each analysis accounts exactly
+// the classes it reached. FrameworkRepository caches one substrate per
+// level under an exception-safe once-guard and shares it as
 // shared_ptr<const> across workers.
 //
 // Beyond the classes themselves, the substrate precomputes everything the
@@ -26,7 +22,7 @@
 //     the framework walk replays these instead of re-decoding instructions
 //     and rebuilding MethodId strings for every app.
 // Lookups key on the LoadedClass address (pointer hash), which is exact:
-// a privately materialized copy of the same framework class never matches.
+// a copy of a substrate class never matches.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +37,8 @@
 
 namespace saintdroid {
 
-/// Keying knobs for a substrate. Part of the repository cache key: two
-/// analyses share a substrate iff they agree on (level, options).
-struct SubstrateOptions {
-  /// Build the per-class method tables and invoke edges (the resolution
-  /// and framework-walk fast paths). Off trades memory for the same
-  /// linear scans an unshared analysis performs.
-  bool index_methods = true;
-
-  friend bool operator==(const SubstrateOptions&,
-                         const SubstrateOptions&) = default;
-};
+/// No knobs: kept only because perfbench/staged.cpp names it.
+struct SubstrateOptions {};
 
 class FrameworkSubstrate {
  public:
@@ -96,14 +83,13 @@ class FrameworkSubstrate {
     /// The substrate class cls.super_name resolves to, or nullptr (root
     /// class, or super not in the image).
     const ClassEntry* super = nullptr;
-    /// Declaration-order method table; empty when index_methods is off.
+    /// Declaration-order method table.
     std::vector<MethodEntry> methods;
   };
 
   /// Materializes every class of `image`. `image` must outlive the
   /// substrate (the repository owns both and keeps them together).
-  FrameworkSubstrate(const DexFile& image, int level,
-                     SubstrateOptions options);
+  FrameworkSubstrate(const DexFile& image, int level);
 
   /// Rebinds a substrate from previously serialized structural tables
   /// instead of re-deriving them from the image's instruction streams: the
@@ -114,14 +100,13 @@ class FrameworkSubstrate {
   /// resolution scans — become a bounds-checked bulk read of `tables`,
   /// with every stored slot and index rebound to a pointer into this
   /// substrate. `tables` must be the serialize_tables() output of a
-  /// substrate built from an identical (image, options) pair — the model
-  /// cache guarantees this via its (fingerprint, level, options) key —
+  /// substrate built from an identical image — the model cache guarantees
+  /// this via its (fingerprint, level) key —
   /// and the resulting substrate is structurally identical to a full
   /// build (serialize_tables round-trips byte-for-byte). Throws ParseError
   /// on any truncation, count mismatch against the image, or out-of-range
   /// slot.
   FrameworkSubstrate(const DexFile& image, int level,
-                     SubstrateOptions options,
                      std::span<const std::uint8_t> tables);
 
   /// Serializes the structural tables — per-entry method-table layouts
@@ -137,9 +122,8 @@ class FrameworkSubstrate {
   FrameworkSubstrate& operator=(const FrameworkSubstrate&) = delete;
 
   int level() const { return level_; }
-  const SubstrateOptions& options() const { return options_; }
   std::size_t class_count() const { return entries_.size(); }
-  /// Methods indexed across all classes (0 when index_methods is off).
+  /// Methods indexed across all classes.
   std::size_t method_count() const { return method_count_; }
   std::uint64_t total_footprint() const { return total_footprint_; }
 
@@ -167,7 +151,6 @@ class FrameworkSubstrate {
   void materialize_classes(const DexFile& image);
 
   int level_;
-  SubstrateOptions options_;
   std::uint64_t total_footprint_ = 0;
   std::size_t method_count_ = 0;
   std::deque<ClassEntry> entries_;  // deque: stable addresses, no realloc

@@ -184,53 +184,23 @@ std::optional<ApiInterval> Aum::predicate_for(const DexFile& dex,
   return slot.predicate;
 }
 
-void Aum::walk_framework(const MethodId& api, int depth) {
-  if (depth >= options_.framework_walk_depth) return;
-  if (auto [it, inserted] = framework_walked_.emplace(api, true); !inserted)
-    return;
-  const LoadedClass* cls = hierarchy_->load(api.class_name);
-  if (!cls || !cls->from_framework) return;
-  const MethodDef* method =
-      hierarchy_->find_method_in(*cls, api.name, api.descriptor);
-  if (!method || !method->code) return;
-  for (const auto& insn : method->code->insns) {
-    if (insn.op != Opcode::kInvoke) continue;
-    const MethodId callee = cls->dex->method_id_at(insn.index);
-    hierarchy_->load(callee.class_name);  // materialize what the ADF touches
-    walk_framework(callee, depth + 1);
-  }
-}
-
-// The two fast-path methods replay walk_framework over the substrate's
-// precomputed graph. Load-for-load equivalence with the string path:
-//   - the per-edge class load happens for every edge arrival in both paths
-//     (walk_framework loads callee.class_name before recursing);
-//   - walk_framework's load at recursion entry is always a cache hit — the
-//     parent loop (or, for roots, resolve_ref) just loaded the same class —
-//     except for callees the substrate does not own, where the first
-//     arrival takes the full miss path (budget check, fault point). Those
-//     keep walk_framework's exact bookkeeping: a framework_walked_ entry
-//     plus the one extra load on first arrival.
-void Aum::walk_root_fast(const MethodResolution& res) {
-  if (options_.framework_walk_depth <= 0) return;
-  const auto* entry = FrameworkSubstrate::entry_of(*res.declaring_class);
-  if (entry == nullptr) {
-    // Not substrate-owned (possible only if a provider mixes private
-    // framework copies in): take the string path, which handles anything.
-    walk_framework(res.id, 0);
-    return;
-  }
+// Without a substrate the hierarchy runs over the eager loader, which has
+// loaded the whole image already: the walk would load nothing and record
+// nothing, so scan_entry_points sizes walked_ to zero and walk_api skips it.
+void Aum::walk_api(const MethodResolution& res) {
+  if (walked_.empty() || options_.framework_walk_depth <= 0) return;
+  // Over the lazy loader every framework class is substrate-owned, and
   // res.method points into the declaring class's definition, so the
   // parallel method table gives the MethodEntry by index.
+  const auto* entry = FrameworkSubstrate::entry_of(*res.declaring_class);
   const auto& me = entry->methods[static_cast<std::size_t>(
       res.method - entry->cls.def->methods.data())];
-  if (walked_fast_[me.slot]) return;
-  walked_fast_[me.slot] = 1;
-  walk_edges_fast(me, 0);
+  if (walked_[me.slot]) return;
+  walked_[me.slot] = 1;
+  walk_edges(me, 0);
 }
 
-void Aum::walk_edges_fast(const FrameworkSubstrate::MethodEntry& me,
-                          int depth) {
+void Aum::walk_edges(const FrameworkSubstrate::MethodEntry& me, int depth) {
   for (const auto& edge : me.callees) {
     if (edge.target != nullptr)
       hierarchy_->load_framework(edge.target, edge.target_slot);
@@ -239,17 +209,17 @@ void Aum::walk_edges_fast(const FrameworkSubstrate::MethodEntry& me,
     const int child_depth = depth + 1;
     if (child_depth >= options_.framework_walk_depth) continue;
     if (edge.target == nullptr) {
-      // Outside the substrate: mirror walk_framework exactly — memoize the
-      // identity and retry the load once (the recursion-entry load, a full
-      // miss every time for a class that never materializes).
-      if (framework_walked_.emplace(*edge.id, true).second)
+      // Outside the substrate: the first arrival at each callee retries
+      // its class load once more (a full miss, with budget check and fault
+      // point, for a class that never materializes).
+      if (walked_unowned_.insert(*edge.id).second)
         hierarchy_->load(edge.id->class_name);
       continue;
     }
     if (edge.resolved == nullptr) continue;  // target declares no such method
-    if (walked_fast_[edge.resolved->slot]) continue;
-    walked_fast_[edge.resolved->slot] = 1;
-    walk_edges_fast(*edge.resolved, child_depth);
+    if (walked_[edge.resolved->slot]) continue;
+    walked_[edge.resolved->slot] = 1;
+    walk_edges(*edge.resolved, child_depth);
   }
 }
 
@@ -410,10 +380,7 @@ void Aum::explore_method(const MethodWork& work, UsageModel& model) {
       }
 
       if (trace_cls_ != nullptr) trace_cls_->add_walk_root(declared);
-      if (use_fast_walk_)
-        walk_root_fast(*resolution);
-      else
-        walk_framework(api, 0);
+      walk_api(*resolution);
       continue;
     }
 
@@ -474,15 +441,14 @@ void Aum::scan_entry_points(const Apk& apk, UsageModel& model,
   api_site_index_.clear();
   perm_site_index_.clear();
   guard_check_sites_.clear();
-  framework_walked_.clear();
+  walked_unowned_.clear();
   ref_cache_.clear();
   worklist_.clear();
   trace_cls_ = nullptr;
   scope_violation_ = false;
 
   const FrameworkSubstrate* substrate = hierarchy_->substrate();
-  use_fast_walk_ = substrate != nullptr && substrate->options().index_methods;
-  walked_fast_.assign(use_fast_walk_ ? substrate->method_count() : 0, 0);
+  walked_.assign(substrate != nullptr ? substrate->method_count() : 0, 0);
 
   const ApiInterval app_range =
       apk.manifest.supported_range().intersect(ApiInterval::full());
@@ -650,10 +616,7 @@ UsageModel Aum::model_incremental(const Apk& apk,
         scope_violation_ = true;
         continue;
       }
-      if (use_fast_walk_)
-        walk_root_fast(*res);
-      else
-        walk_framework(res->id, 0);
+      walk_api(*res);
     }
     for (const auto& lb : trace.latebinds) hierarchy_->load(lb.type);
   }
@@ -662,6 +625,37 @@ UsageModel Aum::model_incremental(const Apk& apk,
 
   scope_ = nullptr;
   return model;
+}
+
+std::vector<ApiCallSite> flat_scan(const Apk& apk, const ApiDatabase& db,
+                                   const GuardOptions& guards) {
+  std::vector<ApiCallSite> sites;
+  const ApiInterval app_range =
+      apk.manifest.supported_range().intersect(ApiInterval::full());
+  const DexFile& dex = apk.dexes.front();
+  for (const auto& cls : dex.classes()) {
+    for (const auto& m : cls.methods) {
+      if (!m.code || m.code->insns.empty()) continue;
+      const Cfg cfg = Cfg::build(*m.code);
+      // Unbudgeted on purpose: the fixpoint's own iteration cap bounds it,
+      // and dropping guards here would turn every guarded use into a
+      // false alarm the unbudgeted run never produces.
+      const GuardResult result =
+          analyze_guards(dex, *m.code, cfg, app_range, guards);
+      const MethodId caller = dex.method_id(cls, m);
+      for (std::uint32_t i = 0; i < m.code->insns.size(); ++i) {
+        const Instruction& insn = m.code->insns[i];
+        if (insn.op != Opcode::kInvoke) continue;
+        const MethodId declared = dex.method_id_at(insn.index);
+        if (!is_framework_class_name(declared.class_name)) continue;
+        if (!db.defined_levels(declared)) continue;
+        const ApiInterval guard = result.at(cfg, i);
+        if (guard.empty()) continue;
+        sites.push_back(ApiCallSite{caller, i, declared, declared, guard});
+      }
+    }
+  }
+  return sites;
 }
 
 }  // namespace saintdroid

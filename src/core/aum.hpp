@@ -242,13 +242,13 @@ class Aum {
   void scan_entry_points(const Apk& apk, UsageModel& model,
                          const std::unordered_set<std::string>* dirty);
   void explore_method(const MethodWork& work, UsageModel& model);
-  void walk_framework(const MethodId& api, int depth);
-  /// Substrate fast path for the framework walk: recurses over the
-  /// precomputed invoke edges by pointer, memoizing visited methods in a
-  /// flat bitmap (walked_fast_, indexed by MethodEntry::slot). Same loads,
-  /// same order, same truncation as walk_framework — no string building.
-  void walk_root_fast(const MethodResolution& res);
-  void walk_edges_fast(const FrameworkSubstrate::MethodEntry& me, int depth);
+  /// The framework walk from a resolved API: loads every class the API's
+  /// body transitively invokes (to framework_walk_depth), as the runtime
+  /// would, by recursing over the substrate's precomputed invoke edges and
+  /// memoizing visited methods in a flat bitmap (walked_, indexed by
+  /// MethodEntry::slot).
+  void walk_api(const MethodResolution& res);
+  void walk_edges(const FrameworkSubstrate::MethodEntry& me, int depth);
   const Cfg& cfg_for(const MethodDef& def);
 
   /// Cached identity + hierarchy resolution for a method-ref pool entry.
@@ -290,12 +290,10 @@ class Aum {
   /// Sites already recorded in UsageModel::guard_checks (re-analysis under
   /// a widened context replays the same branches).
   std::unordered_set<std::uint64_t> guard_check_sites_;
-  std::unordered_map<MethodId, bool> framework_walked_;
-  /// True when the hierarchy runs over an indexed substrate: walks take
-  /// the pointer path, with framework_walked_ kept only for callees whose
-  /// class the substrate does not own.
-  bool use_fast_walk_ = false;
-  std::vector<std::uint8_t> walked_fast_;  // by MethodEntry::slot
+  std::vector<std::uint8_t> walked_;  // by MethodEntry::slot
+  /// Walk edges whose callee class is not in the substrate, already
+  /// retried once (see walk_edges).
+  std::unordered_set<MethodId> walked_unowned_;
   std::unordered_map<const DexFile*,
                      std::vector<std::unique_ptr<RefResolution>>>
       ref_cache_;
@@ -310,5 +308,16 @@ class Aum {
   const std::unordered_set<std::string>* scope_ = nullptr;
   bool scope_violation_ = false;
 };
+
+/// The flat (whole-program, non-reachability) API usage scan: Lint's
+/// analysis, and the facade's fallback for budget-exhausted runs. Every
+/// main-dex method is analyzed independently under the app's manifest
+/// range with intraprocedural `guards`, and each invoke whose *declared*
+/// receiver is a framework method known to `db` becomes a call site — no
+/// hierarchy resolution and no class loading, so the cost is linear in the
+/// main dex. This finds mismatches in dead code (false alarms reachability
+/// avoids) and misses guards placed in callers.
+std::vector<ApiCallSite> flat_scan(const Apk& apk, const ApiDatabase& db,
+                                   const GuardOptions& guards);
 
 }  // namespace saintdroid

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "adf/spec.hpp"
 #include "clvm/clvm.hpp"
 #include "hierarchy/hierarchy.hpp"
 #include "support/errors.hpp"
@@ -67,71 +66,22 @@ AnalysisResult SaintDroid::analyze_versions(const Apk& apk,
   return merged;
 }
 
-namespace {
-
-/// Flat-scan-style fallback for budget-exhausted runs (the degradation
-/// mode of baselines/flat_scan, reimplemented here over the database only
-/// so core does not depend on the baselines layer): every main-dex method
-/// is scanned independently under the manifest range with intraprocedural
-/// guards, and call sites whose declared receiver is a framework class
-/// known to the database become API call sites. No hierarchy resolution,
-/// no class materialization — cost is linear in the main dex, regardless
-/// of how deep the real exploration got before the budget tripped.
-std::vector<Mismatch> flat_fallback(const Apk& apk, const ApiDatabase& db,
-                                    const Amd& amd, ApiInterval app_range,
-                                    const GuardOptions& guard_options) {
-  UsageModel flat;
-  // The flat model gathers no permission uses and no guard checks, so the
-  // absence-based SDC lints must stay quiet on it.
-  flat.incomplete = true;
-  const DexFile& dex = apk.dexes.front();
-  for (const auto& cls : dex.classes()) {
-    for (const auto& m : cls.methods) {
-      if (!m.code || m.code->insns.empty()) continue;
-      const Cfg cfg = Cfg::build(*m.code);
-      // Unbudgeted on purpose: the fixpoint's own iteration cap bounds it,
-      // and dropping guards here would turn every guarded use into a
-      // false alarm the unbudgeted run never produces.
-      const GuardResult guards =
-          analyze_guards(dex, *m.code, cfg, app_range, guard_options);
-      const MethodId caller = dex.method_id(cls, m);
-      for (std::uint32_t i = 0; i < m.code->insns.size(); ++i) {
-        const Instruction& insn = m.code->insns[i];
-        if (insn.op != Opcode::kInvoke) continue;
-        const MethodId declared = dex.method_id_at(insn.index);
-        if (!is_framework_class_name(declared.class_name)) continue;
-        if (!db.defined_levels(declared)) continue;
-        const ApiInterval guard = guards.at(cfg, i);
-        if (guard.empty()) continue;
-        flat.api_calls.push_back(ApiCallSite{caller, i, declared, declared,
-                                             guard});
-      }
-    }
-  }
-  return amd.detect(apk.manifest, flat);
-}
-
-}  // namespace
-
 AnalysisResult SaintDroid::analyze_at_level(const Apk& apk, int level) {
   AnalysisResult result;
   const Stopwatch watch;
 
   const DexFile* framework = nullptr;
-  const FrameworkClassIndex* framework_index = nullptr;
   std::shared_ptr<const FrameworkSubstrate> substrate;
   {
     const PhaseScope phase{"framework"};
-    framework = &repo_->image(level);
-    if (options_.lazy_loading) {
-      // The shared substrate subsumes the class-name index: a failure here
-      // (first build of a poisoned level) fails this analysis in the
-      // "framework" phase and the unsatisfied once-guard retries next time.
-      if (options_.shared_substrate)
-        substrate = repo_->substrate(level, options_.substrate);
-      else
-        framework_index = &repo_->class_index(level);
-    }
+    // The lazy loader takes every framework class from the level's shared
+    // substrate. A failure here (first build of a poisoned level) fails
+    // this analysis in the "framework" phase and the unsatisfied
+    // once-guard retries next time.
+    if (options_.lazy_loading)
+      substrate = repo_->substrate(level);
+    else
+      framework = &repo_->image(level);
   }
 
   // Every analysis attempt — the incremental one and the full one it may
@@ -142,10 +92,8 @@ AnalysisResult SaintDroid::analyze_at_level(const Apk& apk, int level) {
     const PhaseScope phase{"load"};
     std::unique_ptr<ClassProvider> provider;
     if (options_.lazy_loading)
-      provider = std::make_unique<ClassLoaderVm>(apk, *framework,
-                                                 /*include_secondary=*/true,
-                                                 framework_index, &budget,
-                                                 substrate);
+      provider = std::make_unique<ClassLoaderVm>(
+          apk, substrate, /*include_secondary=*/true, &budget);
     else
       provider = std::make_unique<EagerLoader>(apk, *framework,
                                                /*include_secondary=*/true,
@@ -168,13 +116,15 @@ AnalysisResult SaintDroid::analyze_at_level(const Apk& apk, int level) {
       // identity so double-found mismatches appear once.
       result.incomplete = true;
       result.incomplete_reason = budget.reason() ? budget.reason() : "budget";
-      const ApiInterval app_range =
-          apk.manifest.supported_range().intersect(ApiInterval::full());
+      UsageModel flat;
+      // The flat model gathers no permission uses and no guard checks, so
+      // the absence-based SDC lints must stay quiet on it.
+      flat.incomplete = true;
+      flat.api_calls = flat_scan(apk, *db_, options_.aum.guards);
       std::unordered_set<std::string> seen;
       seen.reserve(result.mismatches.size());
       for (const auto& m : result.mismatches) seen.insert(m.key());
-      for (auto& m : flat_fallback(apk, *db_, amd, app_range,
-                                   options_.aum.guards)) {
+      for (auto& m : amd.detect(apk.manifest, flat)) {
         if (seen.insert(m.key()).second)
           result.mismatches.push_back(std::move(m));
       }

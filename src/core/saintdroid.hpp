@@ -26,18 +26,11 @@ namespace saintdroid {
 struct SaintDroidOptions {
   AumOptions aum;
   AmdOptions amd;
-  /// Use the lazy CLVM (true) or eager whole-world loading (false — the
-  /// ablation configuration; CID-style loading with SAINTDroid detection).
+  /// Use the lazy CLVM (true) over the level's shared FrameworkSubstrate,
+  /// or eager whole-world loading (false — the ablation configuration;
+  /// CID-style loading with SAINTDroid detection).
   bool lazy_loading = true;
-  /// Point the CLVM and hierarchy at the repository's shared, immutable
-  /// per-(level, options) FrameworkSubstrate instead of materializing
-  /// framework classes privately per analysis (lazy_loading only).
-  /// Results — including memory accounting — are identical either way;
-  /// sharing only removes the per-app re-materialization cost. False is
-  /// the ablation/measurement configuration (BENCH_substrate.json).
-  bool shared_substrate = true;
-  /// Keying knobs for the shared substrate (ignored when shared_substrate
-  /// is false). Analyses agreeing on (level, substrate) share one build.
+  /// Unused; kept only because perfbench/staged.cpp names it.
   SubstrateOptions substrate;
   /// Per-app resource limits (default: unlimited). Exhaustion degrades
   /// the run to a partial report flagged AnalysisResult::incomplete, with

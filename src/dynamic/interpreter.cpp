@@ -346,10 +346,9 @@ struct Interpreter::Impl {
     crash_keys.clear();
     runtime_request_issued = false;
 
-    vm = std::make_unique<ClassLoaderVm>(*apk, repo->image(clamped.level),
-                                         true,
-                                         &repo->class_index(clamped.level));
-    hierarchy = std::make_unique<ClassHierarchy>(*vm);
+    const auto substrate = repo->substrate(clamped.level);
+    vm = std::make_unique<ClassLoaderVm>(*apk, substrate);
+    hierarchy = std::make_unique<ClassHierarchy>(*vm, substrate.get());
     install_grants();
 
     // The framework-driven surface: component methods and dispatched

@@ -8,13 +8,14 @@
 // callback" (Algorithm 3) when a framework ancestor declares a method with
 // the same name and descriptor.
 //
-// When the analysis runs against a shared FrameworkSubstrate, queries over
-// substrate-owned framework classes ride its precomputed structure: method
-// tables with prebuilt descriptors (no per-app string building), direct
-// superclass pointers (chain walks skip name lookups via
-// ClassProvider::load_framework), and per-method invoke edges (the
+// Over the lazy loader, every framework class is owned by the level's
+// FrameworkSubstrate, and queries over it ride the substrate's precomputed
+// structure: method tables with prebuilt descriptors (no per-app string
+// building), direct superclass pointers (chain walks skip name lookups via
+// ClassProvider::load_framework), and per-method invoke edges (the AUM's
 // framework walk replays pointers instead of re-decoding instructions).
-// Results are identical to the scans — only the work moves.
+// Over the eager loader there is no substrate and queries scan the class
+// definitions; results are identical either way — only the work moves.
 #pragma once
 
 #include <optional>
@@ -38,9 +39,9 @@ struct MethodResolution {
 class ClassHierarchy {
  public:
   /// `provider` (and `substrate`, when given) must outlive the hierarchy.
-  /// `substrate` should be the shared framework layer the provider hands
-  /// out pointers into; lookups fall back to scanning for any class the
-  /// substrate does not own, so a mismatched substrate is slow, not wrong.
+  /// `substrate` should be the framework layer the provider hands out
+  /// pointers into; lookups scan any class the substrate does not own
+  /// (app classes, or every class of an eager loader).
   explicit ClassHierarchy(ClassProvider& provider,
                           const FrameworkSubstrate* substrate = nullptr)
       : provider_(&provider), substrate_(substrate) {}
@@ -79,9 +80,8 @@ class ClassHierarchy {
                                   const std::string& name,
                                   const std::string& descriptor) const;
 
-  /// The shared framework substrate this hierarchy reads, or nullptr —
-  /// callers (the AUM framework walk) use its precomputed method tables
-  /// and invoke edges directly when present and indexed.
+  /// The framework substrate this hierarchy reads, or nullptr — the AUM
+  /// framework walk uses its precomputed method tables and invoke edges.
   const FrameworkSubstrate* substrate() const { return substrate_; }
 
   /// Passthrough to ClassProvider::load_framework (see there).
@@ -98,7 +98,6 @@ class ClassHierarchy {
   const FrameworkSubstrate::ClassEntry* substrate_entry(
       const LoadedClass& cls) const {
     if (substrate_ == nullptr || !cls.from_framework) return nullptr;
-    if (!substrate_->options().index_methods) return nullptr;
     return substrate_->entry_of(cls);
   }
 

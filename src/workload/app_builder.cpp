@@ -771,9 +771,9 @@ AppBuilder& AppBuilder::pad_to(std::uint64_t target_loc, int live_stride) {
   // reason reachability-driven analysis beats whole-program scanning on
   // wall-clock (paper RQ3).
   while (remaining > 0) {
-    const int class_index = filler_counter_++;
+    const int filler_index = filler_counter_++;
     const std::string cls_name =
-        package_path_ + "/fill/Filler" + std::to_string(class_index);
+        package_path_ + "/fill/Filler" + std::to_string(filler_index);
     auto& cls = main_dex_.add_class(cls_name);
     auto& run = cls.add_method("run");
     constexpr int kMethodsPerClass = 48;
@@ -782,7 +782,7 @@ AppBuilder& AppBuilder::pad_to(std::uint64_t target_loc, int live_stride) {
       auto& mb = cls.add_method(name);
       // 12 instructions of benign arithmetic/branch/API mix.
       mb.const_int(0, m);
-      mb.const_int(1, class_index);
+      mb.const_int(1, filler_index);
       mb.move(2, 0);
       Label join = mb.new_label();
       mb.if_reg(CmpOp::kLt, 2, 1, join);
@@ -790,7 +790,7 @@ AppBuilder& AppBuilder::pad_to(std::uint64_t target_loc, int live_stride) {
       mb.move(4, 3);
       mb.bind(join);
       if (!safe.empty() && m % 4 == 0)
-        emit_call(mb, safe[static_cast<std::size_t>(class_index * 48 + m) %
+        emit_call(mb, safe[static_cast<std::size_t>(filler_index * 48 + m) %
                            safe.size()]);
       else
         mb.const_int(5, 1);
@@ -804,7 +804,7 @@ AppBuilder& AppBuilder::pad_to(std::uint64_t target_loc, int live_stride) {
     }
     run.return_void();
     remaining = remaining > kMethodsPerClass ? remaining - kMethodsPerClass : 0;
-    if (class_index % live_stride == 0)
+    if (filler_index % live_stride == 0)
       helper_calls_.emplace_back(cls_name, "run");
   }
   return *this;

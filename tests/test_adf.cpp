@@ -241,13 +241,14 @@ TEST(Repository, CachesImages) {
 }
 
 TEST(Repository, ClassIndexCoversImage) {
+  // The level's substrate is the framework's class-name index.
   FrameworkConfig cfg;
   cfg.bulk_classes = 50;
   const FrameworkRepository repo{cfg};
   const DexFile& image = repo.image(24);
-  const auto& index = repo.class_index(24);
-  EXPECT_EQ(index.size(), image.classes().size());
-  EXPECT_TRUE(index.contains("android/app/Activity"));
+  const auto substrate = repo.substrate(24);
+  EXPECT_EQ(substrate->class_count(), image.classes().size());
+  EXPECT_NE(substrate->find_class("android/app/Activity"), nullptr);
 }
 
 // --- permissions -------------------------------------------------------------------

@@ -75,6 +75,7 @@ TEST(Cfg, DiamondShape) {
   EXPECT_EQ(a.taken, cfg.block_of(4));
   EXPECT_EQ(b.taken, cfg.block_of(5));
   EXPECT_EQ(c.fallthrough, cfg.block_of(5));
+  EXPECT_EQ(d.first, 5u);
   EXPECT_EQ(in_degree(cfg, cfg.block_of(5)), 2u);
 }
 

@@ -16,9 +16,9 @@ const FrameworkRepository& repo() { return FrameworkRepository::standard(); }
 CallGraph graph_of(const Apk& apk) {
   const int level = FrameworkRepository::clamp_level(apk.manifest.target_sdk);
   static std::vector<std::unique_ptr<ClassLoaderVm>> keep_alive;
-  keep_alive.push_back(std::make_unique<ClassLoaderVm>(
-      apk, repo().image(level), true, &repo().class_index(level)));
-  ClassHierarchy hierarchy{*keep_alive.back()};
+  const auto substrate = repo().substrate(level);
+  keep_alive.push_back(std::make_unique<ClassLoaderVm>(apk, substrate));
+  ClassHierarchy hierarchy{*keep_alive.back(), substrate.get()};
   return CallGraph::build(apk, hierarchy);
 }
 

@@ -6,6 +6,7 @@
 #include "clvm/clvm.hpp"
 #include "dex/builder.hpp"
 #include "hierarchy/hierarchy.hpp"
+#include "support/errors.hpp"
 
 namespace saintdroid {
 namespace {
@@ -50,7 +51,7 @@ Apk make_app() {
 
 TEST(Clvm, LoadsOnDemandOnly) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   EXPECT_EQ(vm.loaded_class_count(), 0u);
   EXPECT_EQ(vm.memory().peak_bytes(), 0u);
 
@@ -69,7 +70,8 @@ TEST(Clvm, LoadsOnDemandOnly) {
 
 TEST(Clvm, AppClassesVisibleAcrossDexes) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26), /*include_secondary=*/true};
+  ClassLoaderVm vm{apk, small_repo().substrate(26),
+                   /*include_secondary=*/true};
   const LoadedClass* plugin = vm.load("com/app/plugin/P");
   ASSERT_NE(plugin, nullptr);
   EXPECT_FALSE(plugin->from_framework);
@@ -77,31 +79,38 @@ TEST(Clvm, AppClassesVisibleAcrossDexes) {
 
 TEST(Clvm, SecondaryDexHiddenWhenDisabled) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26), /*include_secondary=*/false};
+  ClassLoaderVm vm{apk, small_repo().substrate(26),
+                   /*include_secondary=*/false};
   EXPECT_EQ(vm.load("com/app/plugin/P"), nullptr);
   EXPECT_NE(vm.load("com/app/MyView"), nullptr);
 }
 
 TEST(Clvm, UnknownClassIsNull) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   EXPECT_EQ(vm.load("com/runtime/GeneratedCheck"), nullptr);
 }
 
-TEST(Clvm, SharedFrameworkIndexEquivalent) {
+TEST(Clvm, FrameworkClassesAreTheSubstrates) {
   const Apk apk = make_app();
-  ClassLoaderVm own{apk, small_repo().image(26)};
-  ClassLoaderVm shared{apk, small_repo().image(26), true,
-                       &small_repo().class_index(26)};
-  for (const char* name :
-       {"android/view/View", "com/app/MyView", "no/such/Class"}) {
-    const LoadedClass* a = own.load(name);
-    const LoadedClass* b = shared.load(name);
-    EXPECT_EQ(a == nullptr, b == nullptr) << name;
-    if (a && b) {
-      EXPECT_EQ(a->name, b->name);
-    }
-  }
+  const auto substrate = small_repo().substrate(26);
+  ClassLoaderVm vm{apk, substrate};
+  const LoadedClass* view = vm.load("android/view/View");
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view, substrate->find_class("android/view/View"));
+  EXPECT_EQ(vm.memory().peak_bytes(), view->footprint);
+  // An app class of the same package is materialized privately.
+  const LoadedClass* mine = vm.load("com/app/MyView");
+  ASSERT_NE(mine, nullptr);
+  EXPECT_FALSE(substrate->owns(*mine));
+}
+
+TEST(Clvm, RequiresSubstrate) {
+  const Apk apk = make_app();
+  EXPECT_THROW(ClassLoaderVm(apk, nullptr), ConfigError);
+  EXPECT_THROW(ClassLoaderVm(apk, small_repo().image(26), true, nullptr,
+                             nullptr, nullptr),
+               ConfigError);
 }
 
 // --- eager loading --------------------------------------------------------------
@@ -124,7 +133,7 @@ TEST(EagerLoader, MaterializesWholeWorldUpFront) {
 TEST(EagerLoader, CostsDominateLazyFootprint) {
   const Apk apk = make_app();
   EagerLoader eager{apk, small_repo().image(26), false, true};
-  ClassLoaderVm lazy{apk, small_repo().image(26)};
+  ClassLoaderVm lazy{apk, small_repo().substrate(26)};
   lazy.load("com/app/MyView");
   lazy.load("android/view/View");
   EXPECT_GT(eager.memory().peak_bytes(), 4 * lazy.memory().peak_bytes());
@@ -134,7 +143,7 @@ TEST(EagerLoader, CostsDominateLazyFootprint) {
 
 TEST(Hierarchy, ResolvesInheritedFrameworkMethod) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   const auto res = h.resolve("com/app/MyView", "setBackground",
                              "(Landroid/graphics/drawable/Drawable;)V");
@@ -145,7 +154,7 @@ TEST(Hierarchy, ResolvesInheritedFrameworkMethod) {
 
 TEST(Hierarchy, ResolvesThroughDeepChain) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   // Activity extends ContextThemeWrapper -> ContextWrapper -> Context.
   const auto res = h.resolve("android/app/Activity", "getColorStateList",
@@ -156,7 +165,7 @@ TEST(Hierarchy, ResolvesThroughDeepChain) {
 
 TEST(Hierarchy, ResolutionFailsForUnknownMethod) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   EXPECT_FALSE(h.resolve("com/app/MyView", "noSuchMethod", "()V").has_value());
   EXPECT_FALSE(h.resolve("no/such/Class", "f", "()V").has_value());
@@ -164,7 +173,7 @@ TEST(Hierarchy, ResolutionFailsForUnknownMethod) {
 
 TEST(Hierarchy, OverrideDetection) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   const LoadedClass* clicker = vm.load("com/app/Clicker");
   ASSERT_NE(clicker, nullptr);
@@ -189,7 +198,7 @@ TEST(Hierarchy, AppOverrideShadowsFramework) {
   apk.manifest.min_sdk = 15;
   apk.dexes.push_back(b.build());
 
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   const LoadedClass* d = vm.load("com/app/Derived");
   EXPECT_FALSE(
@@ -203,7 +212,7 @@ TEST(Hierarchy, AppOverrideShadowsFramework) {
 
 TEST(Hierarchy, SubtypeQueries) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   EXPECT_TRUE(h.is_subtype_of("com/app/MyView", "android/view/View"));
   EXPECT_TRUE(h.is_subtype_of("com/app/MyView", "java/lang/Object"));
@@ -215,7 +224,7 @@ TEST(Hierarchy, SubtypeQueries) {
 
 TEST(Hierarchy, NearestFrameworkAncestor) {
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   const LoadedClass* anc = h.nearest_framework_ancestor("com/app/MyView");
   ASSERT_NE(anc, nullptr);
@@ -227,7 +236,7 @@ TEST(Hierarchy, ResolutionDrivesLazyLoading) {
   // This is Algorithm 1 in miniature: a resolve() call pulls exactly the
   // ancestor chain into the VM, nothing else.
   const Apk apk = make_app();
-  ClassLoaderVm vm{apk, small_repo().image(26)};
+  ClassLoaderVm vm{apk, small_repo().substrate(26)};
   ClassHierarchy h{vm};
   ASSERT_TRUE(h.resolve("android/app/Activity", "getColorStateList",
                         "(I)Landroid/content/res/ColorStateList;")

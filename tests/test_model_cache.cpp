@@ -25,6 +25,7 @@
 #include "core/model_cache.hpp"
 #include "core/saintdroid.hpp"
 #include "core/semantics.hpp"
+#include "support/bytes.hpp"
 #include "support/errors.hpp"
 #include "support/sdmc.hpp"
 #include "workload/corpus.hpp"
@@ -155,8 +156,7 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
   const auto built = repo.substrate(level);
   const auto tables = built->serialize_tables();
 
-  const FrameworkSubstrate rebound{repo.image(level), level,
-                                   SubstrateOptions{}, tables};
+  const FrameworkSubstrate rebound{repo.image(level), level, tables};
   EXPECT_EQ(rebound.class_count(), built->class_count());
   EXPECT_EQ(rebound.method_count(), built->method_count());
   EXPECT_EQ(rebound.total_footprint(), built->total_footprint());
@@ -168,15 +168,21 @@ TEST(ModelCacheSubstrate, RebindMatchesFullBuildExactly) {
   ASSERT_NE(cls, nullptr);
   EXPECT_NE(FrameworkSubstrate::entry_of(*cls), nullptr);
 
-  // The unindexed variant round-trips through its (much smaller) tables.
-  SubstrateOptions lean;
-  lean.index_methods = false;
-  const auto lean_built = repo.substrate(level, lean);
-  const auto lean_tables = lean_built->serialize_tables();
-  const FrameworkSubstrate lean_rebound{repo.image(level), level, lean,
-                                        lean_tables};
+  // Another level round-trips through its own tables.
+  const int lean = 14;
+  const auto lean_tables = repo.substrate(lean)->serialize_tables();
+  const FrameworkSubstrate lean_rebound{repo.image(lean), lean, lean_tables};
   EXPECT_EQ(lean_rebound.serialize_tables(), lean_tables);
-  EXPECT_EQ(lean_rebound.method_count(), 0u);
+  EXPECT_NE(lean_tables, tables);
+
+  // Tables whose format byte says "no method tables" are stale: refused.
+  std::vector<std::uint8_t> stale = tables;
+  ByteReader r{stale};
+  r.uleb();
+  r.uleb();
+  stale[r.offset()] = 0;
+  EXPECT_THROW((FrameworkSubstrate{repo.image(level), level, stale}),
+               ParseError);
 }
 
 TEST(ModelCacheSubstrate, RepositoryStoresThenLaterInstanceHits) {
@@ -196,11 +202,9 @@ TEST(ModelCacheSubstrate, RepositoryStoresThenLaterInstanceHits) {
   EXPECT_EQ(reader.substrate_cache_stores(), 0u);
   EXPECT_EQ(rebound->serialize_tables(), built->serialize_tables());
 
-  // Options are part of the key: the unindexed substrate is a distinct
-  // entry, so its first request stores rather than hits.
-  SubstrateOptions lean;
-  lean.index_methods = false;
-  (void)reader.substrate(23, lean);
+  // The level is part of the key: another level is a distinct entry, so
+  // its first request stores rather than hits.
+  (void)reader.substrate(14);
   EXPECT_EQ(reader.substrate_cache_hits(), 1u);
   EXPECT_EQ(reader.substrate_cache_stores(), 1u);
 }
@@ -381,7 +385,9 @@ TEST_F(WarmColdSuite, HarnessOptionsAttachTheCacheBeforeWarmup) {
         [&] { return std::make_unique<SaintDroid>(repo, db); }, *apps_,
         options);
     EXPECT_EQ(sorted_canonical(suite.rows), *reference_);
-    if (round == 1) EXPECT_GT(repo.substrate_cache_hits(), 0u);
+    if (round == 1) {
+      EXPECT_GT(repo.substrate_cache_hits(), 0u);
+    }
   }
 }
 

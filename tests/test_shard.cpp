@@ -290,7 +290,9 @@ TEST(JournalWriterSeal, KillAtEveryByteOffsetNeverLosesASealedRow) {
     EXPECT_EQ(rows.front().mismatch_count, 3u);
     EXPECT_EQ(rows.back().app, "appended-row");
     EXPECT_EQ(rows.back().mismatch_count, 7u);
-    if (expected == 3u) EXPECT_EQ(rows[1].app, "torn-row");
+    if (expected == 3u) {
+      EXPECT_EQ(rows[1].app, "torn-row");
+    }
   }
   std::remove(path.c_str());
 }

@@ -1,9 +1,8 @@
 // Shared framework substrate suite.
 //
-// The load-bearing property: the substrate is a pure caching layer. Every
-// reported field — rows, scores, mismatch counts, peak_bytes,
-// loaded_classes — is byte-identical with the substrate on or off, at any
-// worker count; the per-(level, options) cache builds exactly once under
+// The load-bearing properties: every reported field — rows, scores,
+// mismatch counts, peak_bytes, loaded_classes — is pinned and identical at
+// any worker count; the per-level cache builds exactly once under
 // concurrent first requests; and a poisoned level fails only the analyses
 // that need it, retrying (and succeeding) once the fault clears.
 #include <gtest/gtest.h>
@@ -11,12 +10,16 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adf/repository.hpp"
+#include "baselines/cid.hpp"
+#include "baselines/lint.hpp"
 #include "clvm/substrate.hpp"
 #include "core/arm.hpp"
 #include "core/saintdroid.hpp"
+#include "dynamic/interpreter.hpp"
 #include "support/faults.hpp"
 #include "workload/corpus.hpp"
 #include "workload/harness.hpp"
@@ -53,7 +56,7 @@ FrameworkConfig small_framework() {
 TEST(Substrate, MaterializesEveryImageClassOnce) {
   const auto& repo = FrameworkRepository::standard();
   const DexFile& image = repo.image(25);
-  const FrameworkSubstrate sub{image, 25, {}};
+  const FrameworkSubstrate sub{image, 25};
   EXPECT_EQ(sub.level(), 25);
   EXPECT_GT(sub.class_count(), 0u);
   EXPECT_GT(sub.total_footprint(), 0u);
@@ -72,7 +75,7 @@ TEST(Substrate, MaterializesEveryImageClassOnce) {
 TEST(Substrate, MethodTablesMatchDeclarationsExactly) {
   const auto& repo = FrameworkRepository::standard();
   const DexFile& image = repo.image(25);
-  const FrameworkSubstrate sub{image, 25, {}};
+  const FrameworkSubstrate sub{image, 25};
 
   const std::string name = image.type_name(image.classes().front().type);
   const LoadedClass* cls = sub.find_class(name);
@@ -124,22 +127,7 @@ TEST(Substrate, MethodTablesMatchDeclarationsExactly) {
   EXPECT_EQ(sub.entry_of(copy), nullptr);
 }
 
-TEST(Substrate, UnindexedOptionsSkipMethodTables) {
-  const auto& repo = FrameworkRepository::standard();
-  const DexFile& image = repo.image(25);
-  SubstrateOptions options;
-  options.index_methods = false;
-  const FrameworkSubstrate sub{image, 25, options};
-  const std::string name = image.type_name(image.classes().front().type);
-  const LoadedClass* cls = sub.find_class(name);
-  ASSERT_NE(cls, nullptr);
-  EXPECT_TRUE(sub.owns(*cls));
-  const FrameworkSubstrate::ClassEntry* entry = sub.entry_of(*cls);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_TRUE(entry->methods.empty());
-}
-
-// --- cache: one build per key, even under a stampede ---------------------------
+// --- cache: one build per level, even under a stampede -------------------------
 
 TEST(SubstrateCache, ConcurrentFirstRequestsBuildOnce) {
   const FrameworkRepository repo{small_framework()};
@@ -161,10 +149,8 @@ TEST(SubstrateCache, ConcurrentFirstRequestsBuildOnce) {
   }
   EXPECT_EQ(repo.substrate_build_count(), 1u);
 
-  // A different options value is a different key: second build.
-  SubstrateOptions unindexed;
-  unindexed.index_methods = false;
-  const auto other = repo.substrate(17, unindexed);
+  // A different level is a different key: second build.
+  const auto other = repo.substrate(18);
   ASSERT_NE(other, nullptr);
   EXPECT_NE(other.get(), handles.front().get());
   EXPECT_EQ(repo.substrate_build_count(), 2u);
@@ -228,8 +214,8 @@ TEST(ParallelMining, DatabaseIsJobsInvariant) {
 
 constexpr int kCorpusSize = 96;
 
-/// 96 small corpus apps, a pre-mined database, and a serial unshared
-/// reference run — built once and reused by the determinism tests.
+/// 96 small corpus apps, a pre-mined database, and a serial reference
+/// run — built once and reused by the determinism tests.
 class SubstrateSuite : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -239,13 +225,15 @@ class SubstrateSuite : public ::testing::Test {
     config.size_base = 120.0;
     config.size_spread = 1.5;
     config.api_issue_mean = 6.0;
+    // A quarter library-heavy (framework breadth 150-400): the apps whose
+    // framework walks reach deepest into the substrate.
+    config.library_heavy_fraction = 0.25;
     corpus_ = new RealWorldCorpus{repo, config};
     apps_ = new std::vector<BenchApp>{
         corpus_->generate_range(0, kCorpusSize, 8)};
     SaintDroid miner{repo};
     db_ = new std::shared_ptr<const ApiDatabase>{miner.shared_database()};
-    reference_ = new SuiteResult{
-        run_suite_parallel(factory(/*shared_substrate=*/false), *apps_, 1)};
+    reference_ = new SuiteResult{run_suite_parallel(factory(), *apps_, 1)};
   }
 
   static void TearDownTestSuite() {
@@ -259,10 +247,8 @@ class SubstrateSuite : public ::testing::Test {
     corpus_ = nullptr;
   }
 
-  static AnalyzerFactory factory(bool shared_substrate) {
-    return [shared_substrate] {
-      SaintDroidOptions options;
-      options.shared_substrate = shared_substrate;
+  static AnalyzerFactory factory(SaintDroidOptions options = {}) {
+    return [options] {
       return std::make_unique<SaintDroid>(FrameworkRepository::standard(),
                                           *db_, options);
     };
@@ -279,38 +265,150 @@ std::vector<BenchApp>* SubstrateSuite::apps_ = nullptr;
 std::shared_ptr<const ApiDatabase>* SubstrateSuite::db_ = nullptr;
 SuiteResult* SubstrateSuite::reference_ = nullptr;
 
-// --- the sharing-is-invisible property -----------------------------------------
+// --- pinned outputs ------------------------------------------------------------
 
-TEST_F(SubstrateSuite, SharedAndUnsharedRowsAreByteIdenticalAcrossJobs) {
-  const std::string expected = suite_bytes(*reference_);
-  for (const bool shared : {false, true}) {
-    for (const int jobs : {1, 2, 8}) {
-      SCOPED_TRACE("shared=" + std::to_string(shared) +
-                   " jobs=" + std::to_string(jobs));
-      const SuiteResult suite =
-          run_suite_parallel(factory(shared), *apps_, jobs);
-      EXPECT_EQ(suite_bytes(suite), expected);
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x00000100000001b3ULL;
+  }
+  return h;
+}
+
+/// Digest of a suite's canonical rows, in input order.
+std::uint64_t rows_digest(const SuiteResult& suite) {
+  std::uint64_t h = kFnvBasis;
+  for (const SuiteAppRow& row : suite.rows)
+    h = fnv1a(h, canonical_row_bytes(row) + "\n");
+  return h;
+}
+
+/// Digest of one analyzer's full per-app reports (every mismatch, exact
+/// peak bytes and loaded classes; wall clock zeroed), analyzed directly.
+std::uint64_t reports_digest(Analyzer& tool, std::span<const BenchApp> apps) {
+  std::uint64_t h = kFnvBasis;
+  for (const BenchApp& app : apps) {
+    AnalysisResult result = tool.analyze(app.apk);
+    result.usage.seconds = 0.0;
+    h = fnv1a(h, result.to_text(app.apk.name));
+    h = fnv1a(h, std::to_string(result.usage.peak_bytes) + "\n");
+  }
+  return h;
+}
+
+/// Digest of the sd_dynamic verdicts of `apps` at every level each app
+/// supports: crashes, skipped callbacks, steps and the step-limit flag.
+std::uint64_t dynamic_digest(std::span<const BenchApp> apps) {
+  const auto& repo = FrameworkRepository::standard();
+  std::uint64_t h = kFnvBasis;
+  for (const BenchApp& app : apps) {
+    Interpreter interp{app.apk, repo};
+    const ApiInterval range =
+        app.apk.manifest.supported_range().intersect(ApiInterval::full());
+    for (int level = range.lo(); level <= range.hi(); ++level) {
+      DeviceConfig device;
+      device.level = level;
+      const ExecutionResult run = interp.run(device);
+      std::string verdict = std::to_string(run.device_level) + " " +
+                            std::to_string(run.steps) + " " +
+                            std::to_string(run.step_limit_hit) + "\n";
+      for (const CrashEvent& crash : run.crashes)
+        verdict += crash.to_string() + "\n";
+      for (const SkippedCallback& skipped : run.skipped_callbacks)
+        verdict += skipped.app_method.to_string() + " -> " +
+                   skipped.framework_callback.to_string() + "\n";
+      h = fnv1a(h, verdict);
     }
+  }
+  return h;
+}
+
+/// Digest of every level's substrate tables, as the model cache stores them.
+std::uint64_t substrate_tables_digest() {
+  const auto& repo = FrameworkRepository::standard();
+  std::uint64_t h = kFnvBasis;
+  for (int level = kMinApiLevel; level <= kMaxApiLevel; ++level) {
+    const auto tables = repo.substrate(level)->serialize_tables();
+    h = fnv1a(h, {reinterpret_cast<const char*>(tables.data()),
+                  tables.size()});
+  }
+  return h;
+}
+
+// Reference values, recorded while a second, private framework path (a
+// per-level class index plus a string-built framework walk) still existed
+// beside the substrate; they must not move. SAINTDroid lazy rows are the
+// same at every jobs count.
+constexpr std::uint64_t kLazyRowsDigest = 0x71aa1337e36c6fe1ULL;
+constexpr std::uint64_t kLazyReportsDigest = 0x5c71d12a62e84e90ULL;
+constexpr std::uint64_t kEagerRowsDigest = 0x9cf74c4aa5aabac2ULL;
+constexpr std::uint64_t kLintRowsDigest = 0x0a2ad16055bf8aa9ULL;
+constexpr std::uint64_t kLintReportsDigest = 0xa6298e38113c1850ULL;
+constexpr std::uint64_t kCidRowsDigest = 0x82b077be98fef639ULL;
+constexpr std::uint64_t kDynamicDigest = 0x9f84fc561d083128ULL;
+constexpr std::uint64_t kSubstrateTablesDigest = 0xcc72a917bbbb99c2ULL;
+
+TEST_F(SubstrateSuite, OutputsArePinned) {
+  const auto& repo = FrameworkRepository::standard();
+  EXPECT_EQ(rows_digest(*reference_), kLazyRowsDigest);
+  EXPECT_EQ(rows_digest(run_suite_parallel(factory(), *apps_, 8)),
+            kLazyRowsDigest);
+  SaintDroid lazy{repo, *db_};
+  EXPECT_EQ(reports_digest(lazy, *apps_), kLazyReportsDigest);
+
+  SaintDroidOptions eager;
+  eager.lazy_loading = false;
+  EXPECT_EQ(rows_digest(run_suite_parallel(factory(eager), *apps_, 2)),
+            kEagerRowsDigest);
+
+  const AnalyzerFactory lint = [] {
+    return std::make_unique<LintAnalyzer>(FrameworkRepository::standard(),
+                                          LintOptions{}, *db_);
+  };
+  EXPECT_EQ(rows_digest(run_suite_parallel(lint, *apps_, 2)),
+            kLintRowsDigest);
+  LintAnalyzer lint_tool{repo, {}, *db_};
+  EXPECT_EQ(reports_digest(lint_tool, *apps_), kLintReportsDigest);
+
+  const AnalyzerFactory cid = [] {
+    return std::make_unique<CidAnalyzer>(FrameworkRepository::standard(),
+                                         CidOptions{}, *db_);
+  };
+  EXPECT_EQ(rows_digest(run_suite_parallel(cid, *apps_, 2)), kCidRowsDigest);
+
+  EXPECT_EQ(dynamic_digest({apps_->data(), 6}), kDynamicDigest);
+  EXPECT_EQ(substrate_tables_digest(), kSubstrateTablesDigest);
+}
+
+// --- jobs invariance -----------------------------------------------------------
+
+TEST_F(SubstrateSuite, RowsAreByteIdenticalAcrossJobs) {
+  const std::string expected = suite_bytes(*reference_);
+  for (const int jobs : {2, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const SuiteResult suite = run_suite_parallel(factory(), *apps_, jobs);
+    EXPECT_EQ(suite_bytes(suite), expected);
+    EXPECT_EQ(rows_digest(suite), kLazyRowsDigest);
   }
 }
 
 TEST_F(SubstrateSuite, SingleAppReportIsIdenticalEitherWay) {
-  SaintDroidOptions shared_options;
-  SaintDroidOptions unshared_options;
-  unshared_options.shared_substrate = false;
-  SaintDroid with{FrameworkRepository::standard(), *db_, shared_options};
-  SaintDroid without{FrameworkRepository::standard(), *db_, unshared_options};
-
-  const Apk& apk = (*apps_)[1].apk;
-  AnalysisResult a = with.analyze(apk);
-  AnalysisResult b = without.analyze(apk);
-  a.usage.seconds = 0.0;  // wall clock is the one nondeterministic field
-  b.usage.seconds = 0.0;
-  EXPECT_EQ(a.to_text(apk.name), b.to_text(apk.name));
-  // Accounting parity: a shared framework class charges exactly the bytes
-  // a private copy would, so memory telemetry is comparable across modes.
-  EXPECT_EQ(a.usage.peak_bytes, b.usage.peak_bytes);
-  EXPECT_EQ(a.usage.loaded_classes, b.usage.loaded_classes);
+  // Analyzed directly or as a row of an 8-worker suite, an app reports the
+  // same findings and the same accounting.
+  SaintDroid tool{FrameworkRepository::standard(), *db_};
+  const SuiteResult suite = run_suite_parallel(factory(), *apps_, 8);
+  EXPECT_EQ(rows_digest(suite), kLazyRowsDigest);
+  for (std::size_t i = 0; i < apps_->size(); ++i) {
+    const Apk& apk = (*apps_)[i].apk;
+    SCOPED_TRACE(apk.name);
+    const AnalysisResult direct = tool.analyze(apk);
+    const SuiteAppRow& row = suite.rows[i];
+    EXPECT_EQ(direct.mismatches.size(), row.mismatch_count);
+    EXPECT_EQ(direct.usage.peak_bytes, row.usage.peak_bytes);
+    EXPECT_EQ(direct.usage.loaded_classes, row.usage.loaded_classes);
+  }
 }
 
 TEST_F(SubstrateSuite, WarmupHookRunsBeforeAnalysis) {
@@ -319,8 +417,7 @@ TEST_F(SubstrateSuite, WarmupHookRunsBeforeAnalysis) {
   options.jobs = 2;
   options.warmup = [&warmed] { warmed = true; };
   const std::vector<BenchApp> head{apps_->begin(), apps_->begin() + 4};
-  const SuiteResult suite =
-      run_suite_parallel(factory(true), head, options);
+  const SuiteResult suite = run_suite_parallel(factory(), head, options);
   EXPECT_TRUE(warmed);
   EXPECT_EQ(suite.rows.size(), 4u);
 }
@@ -341,18 +438,16 @@ TEST(SubstratePoisonedSuite, OnePoisonedLevelFailsOnlyItsApps) {
   SaintDroid miner{repo};
   const auto db = miner.shared_database();
 
-  const auto factory = [&repo, &db](bool shared_substrate) {
-    return AnalyzerFactory{[&repo, &db, shared_substrate] {
-      SaintDroidOptions options;
-      options.shared_substrate = shared_substrate;
-      return std::make_unique<SaintDroid>(repo, db, options);
-    }};
+  const auto factory = [&db](const FrameworkRepository& on) {
+    return AnalyzerFactory{
+        [&on, &db] { return std::make_unique<SaintDroid>(on, db); }};
   };
 
-  // Reference run without the substrate, so no slot is built before the
-  // fault is armed; results are identical either way by the sharing
-  // contract, so the rows are comparable.
-  const SuiteResult clean = run_suite_parallel(factory(false), apps, 4);
+  // Reference run over a twin repository, so no slot of `repo` is built
+  // before the fault is armed; the twin has the same framework, so the
+  // rows are comparable.
+  const FrameworkRepository twin{small_framework()};
+  const SuiteResult clean = run_suite_parallel(factory(twin), apps, 4);
 
   // Poison the most-targeted level (guaranteed >= 2 victims).
   std::vector<int> per_level(static_cast<std::size_t>(kMaxApiLevel) + 1, 0);
@@ -377,8 +472,8 @@ TEST(SubstratePoisonedSuite, OnePoisonedLevelFailsOnlyItsApps) {
     bool first_run = true;
     for (const int jobs : {1, 2, 8}) {
       SCOPED_TRACE("jobs=" + std::to_string(jobs));
-      const SuiteResult faulted = run_suite_parallel(factory(true), apps,
-                                                     jobs);
+      const SuiteResult faulted =
+          run_suite_parallel(factory(repo), apps, jobs);
       ASSERT_EQ(faulted.rows.size(), apps.size());
       EXPECT_EQ(faulted.failures, victims);
       for (std::size_t i = 0; i < faulted.rows.size(); ++i) {
@@ -411,7 +506,7 @@ TEST(SubstratePoisonedSuite, OnePoisonedLevelFailsOnlyItsApps) {
 
   // Fault cleared: the poisoned level builds on the next suite run and the
   // whole corpus matches the clean reference again.
-  const SuiteResult healed = run_suite_parallel(factory(true), apps, 4);
+  const SuiteResult healed = run_suite_parallel(factory(repo), apps, 4);
   EXPECT_EQ(healed.failures, clean.failures);
   EXPECT_EQ(suite_bytes(healed), suite_bytes(clean));
   EXPECT_GT(repo.substrate_build_count(), 0u);

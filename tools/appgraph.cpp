@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     const auto& repo = sd::FrameworkRepository::standard();
     const int level =
         sd::FrameworkRepository::clamp_level(apk.manifest.target_sdk);
-    sd::ClassLoaderVm vm{apk, repo.image(level), true,
-                         &repo.class_index(level)};
-    sd::ClassHierarchy hierarchy{vm};
+    const auto substrate = repo.substrate(level);
+    sd::ClassLoaderVm vm{apk, substrate};
+    sd::ClassHierarchy hierarchy{vm, substrate.get()};
     const sd::CallGraph graph = sd::CallGraph::build(apk, hierarchy);
 
     if (stats_only) {
