@@ -9,7 +9,6 @@
 // every app — up to ~8x and ~4x on average against the baselines — with
 // Lint competitive only on the smallest apps.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,11 +16,8 @@
 #include "baselines/cid.hpp"
 #include "baselines/lint.hpp"
 #include "core/saintdroid.hpp"
-#include "support/meter.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "workload/benchmarks.hpp"
-#include "workload/harness.hpp"
 
 namespace sd = saintdroid;
 
@@ -106,24 +102,5 @@ int main() {
   std::printf("\npaper targets: SAINTDroid up to 8.3x faster, ~4x on "
               "average; CID fails on the 4 largest apps; Lint fastest only "
               "on the smallest apps.\n");
-
-  // Jobs axis: the same 19-app suite through the parallel batch engine,
-  // serial vs one worker per hardware thread. Rows are deterministic per
-  // the run_suite_parallel contract; only wall-clock varies.
-  const auto db = saint.shared_database();
-  const sd::AnalyzerFactory factory = [&repo, &db, &saint_options] {
-    return std::make_unique<sd::SaintDroid>(repo, db, saint_options);
-  };
-  const int hw = static_cast<int>(sd::ThreadPool::default_workers());
-  std::printf("\nsuite throughput (19 apps, shared ARM database):\n");
-  for (const int jobs : {1, hw}) {
-    const sd::Stopwatch watch;
-    const sd::SuiteResult suite = sd::run_suite_parallel(factory, apps, jobs);
-    const double elapsed = watch.seconds();
-    std::printf("  jobs=%-2d  %.3fs wall  %.1f apps/sec  (%d failures)\n",
-                jobs, elapsed, elapsed > 0 ? apps.size() / elapsed : 0.0,
-                suite.failures);
-    if (hw == 1) break;  // single-core host: one row says it
-  }
   return 0;
 }

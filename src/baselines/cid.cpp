@@ -86,8 +86,7 @@ AnalysisResult CidAnalyzer::analyze(const Apk& apk) {
   const int level = FrameworkRepository::clamp_level(apk.manifest.target_sdk);
   // Eager, whole-world loading: every main-dex class plus the entire
   // framework model (secondary dexes are invisible to CID).
-  EagerLoader loader{apk, repo_->image(level), /*include_secondary=*/false,
-                     /*load_framework=*/true};
+  EagerLoader loader{apk, repo_->image(level), /*include_secondary=*/false};
   ClassHierarchy hierarchy{loader};
 
   // "Creates a conditional call graph for each app to record method call

@@ -116,12 +116,12 @@ const MemoryMeter& ClassLoaderVm::memory() const { return memory_; }
 // EagerLoader
 
 EagerLoader::EagerLoader(const Apk& apk, const DexFile& framework,
-                         bool include_secondary_dexes, bool load_framework) {
+                         bool include_secondary_dexes) {
   const std::size_t dex_limit =
       include_secondary_dexes ? apk.dexes.size() : std::size_t{1};
   for (std::size_t d = 0; d < dex_limit; ++d)
     materialize(apk.dexes[d], false);
-  if (load_framework) materialize(framework, true);
+  materialize(framework, true);
 }
 
 void EagerLoader::materialize(const DexFile& dex, bool from_framework) {

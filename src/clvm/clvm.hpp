@@ -89,11 +89,10 @@ class ClassLoaderVm : public ClassProvider {
 class EagerLoader : public ClassProvider {
  public:
   /// Loads every class of the APK (main dex only when
-  /// `include_secondary_dexes` is false, matching CID's behaviour) plus,
-  /// when `load_framework` is set, the entire framework image.
+  /// `include_secondary_dexes` is false, matching CID's behaviour) plus
+  /// the entire framework image.
   EagerLoader(const Apk& apk, const DexFile& framework,
-              bool include_secondary_dexes = false,
-              bool load_framework = true);
+              bool include_secondary_dexes = false);
 
   const LoadedClass* load(const std::string& name) override;
   std::uint64_t loaded_class_count() const override;

@@ -96,8 +96,7 @@ AnalysisResult SaintDroid::analyze_at_level(const Apk& apk, int level) {
           apk, substrate, /*include_secondary=*/true, &budget);
     else
       provider = std::make_unique<EagerLoader>(apk, *framework,
-                                               /*include_secondary=*/true,
-                                               /*load_framework=*/true);
+                                               /*include_secondary=*/true);
     return provider;
   };
 

@@ -118,7 +118,7 @@ TEST(Clvm, RequiresSubstrate) {
 TEST(EagerLoader, MaterializesWholeWorldUpFront) {
   const Apk apk = make_app();
   EagerLoader eager{apk, small_repo().image(26),
-                    /*include_secondary=*/false, /*load_framework=*/true};
+                    /*include_secondary=*/false};
   const auto count = eager.loaded_class_count();
   EXPECT_GT(count, small_repo().image(26).classes().size() - 1);
   const auto peak = eager.memory().peak_bytes();
@@ -132,7 +132,7 @@ TEST(EagerLoader, MaterializesWholeWorldUpFront) {
 
 TEST(EagerLoader, CostsDominateLazyFootprint) {
   const Apk apk = make_app();
-  EagerLoader eager{apk, small_repo().image(26), false, true};
+  EagerLoader eager{apk, small_repo().image(26), false};
   ClassLoaderVm lazy{apk, small_repo().substrate(26)};
   lazy.load("com/app/MyView");
   lazy.load("android/view/View");

@@ -241,35 +241,58 @@ TEST(Fuzz, FrameworkImageBitFlipSweep) {
   }
 }
 
-TEST(Fuzz, ApiDatabaseTruncationAndBitFlipSweep) {
-  // The persisted ARM database (`saintdroid mine` output) gets the same
-  // treatment: every damaged load either throws ParseError or yields a
-  // database whose accessors are safe to call.
-  const auto base =
+// The persisted ARM database (`saintdroid mine` output) gets the same
+// treatment: every damaged load either throws ParseError or yields a
+// database whose accessors are safe to call. The sweep is split into
+// cases that `ctest -j` runs in parallel: two disjoint ranges of the
+// truncation cut, and the seeded bit-flips as one case so the Rng
+// sequence stays whole.
+
+/// The serialized standard database, mined once per process.
+const std::vector<std::uint8_t>& api_database_bytes() {
+  static const std::vector<std::uint8_t> bytes =
       ApiDatabase::mine(FrameworkRepository::standard()).serialize();
-  for (std::size_t cut = 0; cut < base.size(); cut += 1 + cut / 64) {
-    std::span<const std::uint8_t> window(base.data(), cut);
-    try {
-      const ApiDatabase db = ApiDatabase::parse(window);
-      (void)db.method_count();
-      (void)db.callback_count();
-      (void)db.permission_mapping_count();
-    } catch (const ParseError&) {
-    }
+  return bytes;
+}
+
+void load_damaged_api_database(std::span<const std::uint8_t> bytes) {
+  try {
+    const ApiDatabase db = ApiDatabase::parse(bytes);
+    (void)db.method_count();
+    (void)db.callback_count();
+    (void)db.permission_mapping_count();
+  } catch (const ParseError&) {
   }
+}
+
+/// Loads every cut of the truncation sweep (the same cut sequence in every
+/// part) that falls in the `part`-th of `parts` equal ranges of the
+/// serialized length.
+void api_database_truncation_sweep(std::size_t part, std::size_t parts) {
+  const auto& base = api_database_bytes();
+  const std::size_t lo = base.size() * part / parts;
+  const std::size_t hi = base.size() * (part + 1) / parts;
+  for (std::size_t cut = 0; cut < hi; cut += 1 + cut / 64)
+    if (cut >= lo) load_damaged_api_database({base.data(), cut});
+}
+
+TEST(Fuzz, ApiDatabaseTruncationSweepFirstHalf) {
+  api_database_truncation_sweep(0, 2);
+}
+
+TEST(Fuzz, ApiDatabaseTruncationSweepSecondHalf) {
+  api_database_truncation_sweep(1, 2);
+}
+
+TEST(Fuzz, ApiDatabaseBitFlipSweep) {
+  const auto& base = api_database_bytes();
   Rng rng{0xA2BULL};
   for (int trial = 0; trial < 300; ++trial) {
     auto bytes = base;
     const auto pos = static_cast<std::size_t>(
         rng.uniform(0, static_cast<std::int64_t>(bytes.size()) - 1));
     bytes[pos] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
-    try {
-      const ApiDatabase db = ApiDatabase::parse(bytes);
-      (void)db.method_count();
-      (void)db.callback_count();
-      (void)db.permission_mapping_count();
-    } catch (const ParseError&) {
-    }
+    load_damaged_api_database(bytes);
   }
 }
 
@@ -547,8 +570,10 @@ TEST(SdmcFuzz, SubstrateTableBitFlipsRejectOrRebindSafely) {
     }
   }
   // The checksum lives in the container, not here — some flips must
-  // survive or this proves the decoder rejects everything.
-  (void)rebound;
+  // survive or this proves the decoder rejects everything, and some must
+  // be rejected or it proves the decoder checks nothing.
+  EXPECT_GT(rebound, 0);
+  EXPECT_LT(rebound, 300);
 }
 
 // --- journal line fuzzing ------------------------------------------------------

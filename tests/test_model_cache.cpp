@@ -277,6 +277,40 @@ TEST(ModelCacheSubstrate, ConcurrentWritersShareOneDirectorySafely) {
   EXPECT_EQ(reader.substrate_cache_hits(), 3u);
 }
 
+TEST(ModelCacheColdStart, WarmStartRebindsEveryLevelAndMinesNothing) {
+  // Two consecutive process starts over one cache directory. The cold one
+  // mines the database and builds every level's substrate, publishing
+  // both; the warm one must skip that work entirely: database served from
+  // the cache, one rebind per modelled level, nothing stored and nothing
+  // derived from instruction streams. (The time this saves is measured by
+  // perfbench's setup_s against setup_cold_s.)
+  const std::string dir = fresh_cache_dir("coldstart");
+  const auto levels =
+      static_cast<std::uint64_t>(kMaxApiLevel - kMinApiLevel + 1);
+  const auto start = [&dir](bool* db_from_cache) {
+    auto repo = std::make_unique<FrameworkRepository>(small_config());
+    const ModelCache cache{dir};
+    cache.attach_substrate_cache(*repo);
+    (void)cache.api_database(*repo, 2, db_from_cache);
+    for (int level = kMinApiLevel; level <= kMaxApiLevel; ++level)
+      (void)repo->substrate(level);
+    return repo;
+  };
+
+  bool cold_from_cache = true;
+  const auto cold = start(&cold_from_cache);
+  EXPECT_FALSE(cold_from_cache);
+  EXPECT_EQ(cold->substrate_cache_stores(), levels);
+
+  bool warm_from_cache = false;
+  const auto warm = start(&warm_from_cache);
+  EXPECT_TRUE(warm_from_cache);
+  EXPECT_EQ(warm->substrate_cache_hits(), levels);
+  EXPECT_EQ(warm->substrate_cache_stores(), 0u);
+  // Every completed substrate slot was a rebind: none was built.
+  EXPECT_EQ(warm->substrate_build_count(), warm->substrate_cache_hits());
+}
+
 // --- the warm ≡ cold differential ----------------------------------------------
 
 constexpr int kCorpusSize = 200;

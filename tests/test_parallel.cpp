@@ -1,7 +1,7 @@
 // Tests for the parallel batch engine: the support thread pool and the
 // determinism contract of run_suite_parallel (identical rows to the serial
-// harness for any worker count — the property every throughput number in
-// BENCH_parallel.json silently depends on).
+// harness for any worker count — the property every throughput number
+// perfbench's corpus_batch workload reports silently depends on).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -7,8 +7,9 @@
 // serialization, wall-clock seconds zeroed), across workers ∈ {1, 3, 7}
 // and jobs ∈ {1, 2, 8}, including a worker killed mid-lease whose lease is
 // reclaimed, reissued and re-analyzed. Around that sit the protocol unit
-// tests: lease planning (largest-cost-first), rename-atomic claiming under
-// a thread race (every lease claimed exactly once — the TSan leg's prey),
+// tests: lease planning (largest-cost-first) and its cost-model makespan
+// against static shards, rename-atomic claiming under a thread race
+// (every lease claimed exactly once — the TSan leg's prey),
 // TTL/corrupt-claim reclamation, publish idempotence, and the
 // collect()-side lease accounting.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -427,6 +429,60 @@ TEST(PlanWorkQueue, ValidatesItsInputs) {
   EXPECT_EQ(queue.corpus, corpus_fingerprint(apps));
   ASSERT_EQ(queue.items.size(), 1u);
   EXPECT_EQ(queue.items[0].cost, 1u);  // empty app floors at cost 1
+}
+
+// --- makespan ------------------------------------------------------------------
+
+TEST(StealingMakespan, PlannedLeasesFinishNoLaterThanStaticShards) {
+  // The scheduler's reason to exist: a static `--shard i/N` partition pins
+  // the corpus to its costliest shard, while leases bound the tail by one
+  // lease. Both sides are priced in the planner's own cost model
+  // (estimate_app_cost), so no analysis runs. The stealing side is the
+  // greedy list-schedule of the plan: each lease, in issue order, goes to
+  // the least-loaded of N equal workers, as the claim loop realizes it.
+  // The corpus is skewed (library-heavy stratum, heavy size tail) so that
+  // a static partition really has a straggler shard.
+  constexpr int kApps = 240;
+  constexpr int kWorkers = 5;
+  CorpusConfig config;
+  config.app_count = kApps;
+  config.size_base = 150.0;
+  config.size_spread = 3.0;
+  config.api_issue_mean = 6.0;
+  config.library_heavy_fraction = 0.15;
+  const std::vector<BenchApp> apps =
+      RealWorldCorpus{FrameworkRepository::standard(), config}
+          .generate_range(0, kApps, 4);
+
+  CoordinatorOptions plan;
+  plan.lease_size = 4;
+  const WorkQueue queue = plan_work_queue(apps, {}, plan);
+  std::vector<std::uint64_t> lease_costs;
+  for (const auto& lease : queue.leases) {
+    std::uint64_t cost = 0;
+    for (const int item : lease.items)
+      cost += queue.items[static_cast<std::size_t>(item)].cost;
+    lease_costs.push_back(cost);
+  }
+  // The modelled schedule issues the costliest leases first. The
+  // makespan below cannot show that on its own: on this corpus an
+  // input-order plan also beats static shards.
+  EXPECT_TRUE(std::is_sorted(lease_costs.begin(), lease_costs.end(),
+                             std::greater<>{}));
+  std::vector<std::uint64_t> worker_costs(kWorkers, 0);
+  for (const std::uint64_t cost : lease_costs)
+    *std::min_element(worker_costs.begin(), worker_costs.end()) += cost;
+  const std::uint64_t stealing_makespan =
+      *std::max_element(worker_costs.begin(), worker_costs.end());
+
+  std::uint64_t static_makespan = 0;
+  for (int s = 0; s < kWorkers; ++s) {
+    std::uint64_t cost = 0;
+    for (const auto& app : shard_slice(apps, s, kWorkers))
+      cost += estimate_app_cost(app.apk);
+    static_makespan = std::max(static_makespan, cost);
+  }
+  EXPECT_LE(stealing_makespan, static_makespan);
 }
 
 // --- the differential property -------------------------------------------------
