@@ -1,6 +1,7 @@
 // Micro-benchmarks for the substrate layers (google-benchmark): container
-// encode/decode, framework image emission, ARM database mining, lazy class
-// loading, CFG construction, guard dataflow, and a full per-app analysis.
+// encode/decode, framework spec compilation and per-level image emission,
+// ARM database mining, lazy class loading, CFG construction, guard
+// dataflow, and a full per-app analysis.
 #include <benchmark/benchmark.h>
 
 #include "adf/repository.hpp"
@@ -47,11 +48,16 @@ void BM_DexParse(benchmark::State& state) {
 }
 BENCHMARK(BM_DexParse)->Arg(5000)->Arg(50000);
 
-void BM_FrameworkImageEmission(benchmark::State& state) {
+void BM_FrameworkImagePlan(benchmark::State& state) {
   const auto& spec = repo().spec();
+  for (auto _ : state) benchmark::DoNotOptimize(sd::FrameworkImagePlan{spec});
+}
+BENCHMARK(BM_FrameworkImagePlan)->Unit(benchmark::kMillisecond);
+
+void BM_FrameworkImageEmission(benchmark::State& state) {
+  const sd::FrameworkImagePlan plan{repo().spec()};
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        sd::emit_framework_image(spec, static_cast<int>(state.range(0))));
+    benchmark::DoNotOptimize(plan.emit(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_FrameworkImageEmission)->Arg(16)->Arg(28);
 

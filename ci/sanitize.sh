@@ -8,7 +8,9 @@
 #   2. AddressSanitizer+UBSan over the full tier-1 ctest suite — the fuzz
 #      sweeps only prove "no crash" if UB actually traps.
 #   3. The same ASan+UBSan build over the decoder suites alone (test_dex,
-#      test_fuzz): the quick leg ci/verify.sh runs on every commit.
+#      test_fuzz) and the framework image emitter (test_adf, whose
+#      emission indexes dense id-remap arrays): the quick leg ci/verify.sh
+#      runs on every commit.
 #
 # The ASan+UBSan build also defines _GLIBCXX_ASSERTIONS. The APK decoder
 # parses each dex in place through a view of its window, so a read past
@@ -65,13 +67,15 @@ run_asan() {
 }
 
 run_decoders() {
-  echo "=== AddressSanitizer+UBSan: test_dex + test_fuzz ==="
+  echo "=== AddressSanitizer+UBSan: test_dex + test_fuzz + test_adf ==="
   configure_asan
-  cmake --build build-asan -j "$jobs" --target test_dex test_fuzz
+  cmake --build build-asan -j "$jobs" --target test_dex test_fuzz test_adf
   ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_dex
   ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_fuzz
+  ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_adf
 }
 
 case "$leg" in

@@ -53,7 +53,8 @@ if [[ "$tsan" == 1 ]]; then
 fi
 
 # The decoders read each dex in place from a view of the input; an
-# out-of-window read must trap here rather than pass as "no crash".
+# out-of-window read must trap here rather than pass as "no crash". The
+# framework image emitter indexes dense id-remap arrays and runs here too.
 ci/sanitize.sh decoders
 
 echo "verify: OK"

@@ -27,7 +27,8 @@ std::uint64_t framework_build_retries() {
 FrameworkRepository::FrameworkRepository(FrameworkConfig cfg)
     : cfg_(cfg),
       spec_(build_framework_spec(cfg_)),
-      fingerprint_(framework_fingerprint(spec_)) {}
+      fingerprint_(framework_fingerprint(spec_)),
+      plan_(spec_) {}
 
 void FrameworkRepository::set_model_cache_dir(std::string dir) const {
   if (!dir.empty()) ensure_directory(dir);
@@ -50,7 +51,7 @@ const DexFile& FrameworkRepository::image(int level) const {
     // next caller retries the build — an injected repository failure
     // poisons one analysis, not the level, matching real transient I/O.
     SD_FAULT_POINT("adf.image");
-    slot = emit_framework_image(spec_, static_cast<int>(slot_idx));
+    slot = plan_.emit(static_cast<int>(slot_idx));
   });
   return *slot;
 }

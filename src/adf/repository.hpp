@@ -2,9 +2,11 @@
 //
 // This is the artifact the paper's ARM constructs "once for a given
 // framework ... as a reusable model upon which the compatibility analysis
-// of all apps relies" (§III-B). Images are built lazily per level and
-// cached for the repository's lifetime; standard() provides a process-wide
-// immutable default so tests and benches share one build.
+// of all apps relies" (§III-B). The spec is compiled into a
+// FrameworkImagePlan once, at construction; images are emitted from it
+// lazily per level and cached for the repository's lifetime; standard()
+// provides a process-wide immutable default so tests and benches share one
+// build.
 //
 // Besides the raw images, the repository caches one FrameworkSubstrate per
 // level — the shared, immutable, eagerly-materialized framework layer of
@@ -108,6 +110,8 @@ class FrameworkRepository {
   FrameworkConfig cfg_;
   FrameworkSpec spec_;
   std::string fingerprint_;
+  // Compiled once from spec_ (which it refers to); image() emits from it.
+  FrameworkImagePlan plan_;
   // Model-cache wiring: the directory is snapshotted under its own mutex
   // at each substrate build; counters are telemetry only.
   mutable std::mutex cache_dir_mutex_;

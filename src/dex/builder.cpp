@@ -175,14 +175,6 @@ ClassBuilder& ClassBuilder::add_abstract_method(
 // ---------------------------------------------------------------------------
 // DexBuilder
 
-void DexBuilder::reserve_pools(std::size_t expected_strings,
-                               std::size_t expected_types) {
-  string_ids_.reserve(expected_strings);
-  dex_.strings_.reserve(expected_strings);
-  type_ids_.reserve(expected_types);
-  dex_.types_.reserve(expected_types);
-}
-
 std::uint32_t DexBuilder::intern_string(std::string_view s) {
   // The interner assigns dense insertion-order ids, so its id *is* the
   // string-pool index; probing never allocates.

@@ -167,11 +167,6 @@ class ClassBuilder {
 /// Authors one SDEX container.
 class DexBuilder {
  public:
-  /// Pre-sizes the string/type pools and their interning tables; emitters
-  /// that know their class count up front (the ADF image loader) use this
-  /// to avoid rehashing while authoring thousands of classes.
-  void reserve_pools(std::size_t expected_strings, std::size_t expected_types);
-
   // -- pool interning --------------------------------------------------------
   std::uint32_t intern_string(std::string_view s);
   std::uint32_t intern_type(std::string_view internal_name);

@@ -96,9 +96,9 @@ struct ClassDef {
 
 /// An immutable, validated SDEX container.
 ///
-/// Construct through DexBuilder (authoring) or parse() (decoding bytes);
-/// both paths produce the same in-memory form, and serialize() ∘ parse()
-/// round-trips exactly.
+/// Construct through DexBuilder (authoring), FrameworkImagePlan (framework
+/// images) or parse() (decoding bytes); all paths produce the same
+/// in-memory form, and serialize() ∘ parse() round-trips exactly.
 class DexFile {
  public:
   // -- pool access ---------------------------------------------------------
@@ -153,6 +153,7 @@ class DexFile {
  private:
   friend class DexBuilder;
   friend class DexParser;
+  friend class FrameworkImagePlan;
 
   void validate() const;
 

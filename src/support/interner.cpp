@@ -23,9 +23,4 @@ Symbol StringInterner::find(std::string_view s) const {
   return it == ids_.end() ? npos : it->second;
 }
 
-void StringInterner::reserve(std::size_t expected) {
-  ids_.reserve(expected);
-  strings_.reserve(expected);
-}
-
 }  // namespace saintdroid

@@ -29,10 +29,6 @@ class StringInterner {
   /// Returns the id for `s` if already interned, or npos. Allocation-free.
   Symbol find(std::string_view s) const;
 
-  /// Pre-sizes both tables for `expected` distinct strings (the SDEX pool
-  /// loaders know their pool sizes up front).
-  void reserve(std::size_t expected);
-
   std::size_t size() const { return strings_.size(); }
 
   static constexpr Symbol npos = ~Symbol{0};

@@ -23,32 +23,44 @@ bool tools_present() {
          fs::exists(fs::path(tool_dir()) / "appgraph");
 }
 
-/// Runs a command, captures stdout, returns {exit code, output}.
-std::pair<int, std::string> run(const std::string& command) {
-  const std::string log = "tool_test_output.txt";
-  const int rc = std::system((command + " > " + log + " 2>&1").c_str());
-  std::ifstream in{log};
-  std::string output{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-  return {rc, output};
-}
-
 class ToolsEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!tools_present()) GTEST_SKIP() << "tool binaries not built";
-    fs::create_directories("tool_test_tmp");
+    // CTest runs each test as its own process in one shared directory, so
+    // every test writes its packages and captured output under its own
+    // subdirectory.
+    dir_ = std::string("tool_test_tmp/") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
   }
+
+  /// Path of `name` inside this test's scratch directory.
+  std::string at(const std::string& name) const { return dir_ + "/" + name; }
+
+  /// Runs a command, captures stdout, returns {exit code, output}.
+  std::pair<int, std::string> run(const std::string& command) const {
+    const std::string log = at("output.txt");
+    const int rc = std::system((command + " > " + log + " 2>&1").c_str());
+    std::ifstream in{log};
+    std::string output{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+    return {rc, output};
+  }
+
+ private:
+  std::string dir_;
 };
 
 TEST_F(ToolsEndToEnd, DemoGenerateAnalyzeSuggest) {
   auto [gen_rc, gen_out] =
-      run(std::string(tool_dir()) + "/apkgen demo tool_test_tmp/demo.apk");
+      run(std::string(tool_dir()) + "/apkgen demo " + at("demo.apk"));
   ASSERT_EQ(gen_rc, 0) << gen_out;
-  ASSERT_TRUE(fs::exists("tool_test_tmp/demo.apk"));
+  ASSERT_TRUE(fs::exists(at("demo.apk")));
 
   auto [rc, out] = run(std::string(tool_dir()) +
-                       "/saintdroid analyze tool_test_tmp/demo.apk --suggest");
+                       "/saintdroid analyze " + at("demo.apk") + " --suggest");
   EXPECT_EQ(WEXITSTATUS(rc), 1);  // mismatches found -> exit 1
   EXPECT_NE(out.find("[API]"), std::string::npos);
   EXPECT_NE(out.find("[PRM]"), std::string::npos);
@@ -56,9 +68,9 @@ TEST_F(ToolsEndToEnd, DemoGenerateAnalyzeSuggest) {
 }
 
 TEST_F(ToolsEndToEnd, JsonOutputIsJson) {
-  run(std::string(tool_dir()) + "/apkgen demo tool_test_tmp/demo.apk");
+  run(std::string(tool_dir()) + "/apkgen demo " + at("demo.apk"));
   auto [rc, out] = run(std::string(tool_dir()) +
-                       "/saintdroid analyze tool_test_tmp/demo.apk --json");
+                       "/saintdroid analyze " + at("demo.apk") + " --json");
   (void)rc;
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.front(), '{');
@@ -67,23 +79,23 @@ TEST_F(ToolsEndToEnd, JsonOutputIsJson) {
 
 TEST_F(ToolsEndToEnd, MineAndReuseDatabase) {
   auto [mine_rc, mine_out] =
-      run(std::string(tool_dir()) + "/saintdroid mine tool_test_tmp/api.db");
+      run(std::string(tool_dir()) + "/saintdroid mine " + at("api.db"));
   ASSERT_EQ(mine_rc, 0) << mine_out;
   EXPECT_NE(mine_out.find("mined"), std::string::npos);
-  ASSERT_TRUE(fs::exists("tool_test_tmp/api.db"));
+  ASSERT_TRUE(fs::exists(at("api.db")));
 
-  run(std::string(tool_dir()) + "/apkgen demo tool_test_tmp/demo.apk");
+  run(std::string(tool_dir()) + "/apkgen demo " + at("demo.apk"));
   auto [rc, out] =
       run(std::string(tool_dir()) +
-          "/saintdroid analyze tool_test_tmp/demo.apk --db tool_test_tmp/api.db");
+          "/saintdroid analyze " + at("demo.apk") + " --db " + at("api.db"));
   EXPECT_EQ(WEXITSTATUS(rc), 1);
   EXPECT_NE(out.find("mismatches: 4"), std::string::npos);
 }
 
 TEST_F(ToolsEndToEnd, DisasmShowsBytecode) {
-  run(std::string(tool_dir()) + "/apkgen demo tool_test_tmp/demo.apk");
+  run(std::string(tool_dir()) + "/apkgen demo " + at("demo.apk"));
   auto [rc, out] = run(std::string(tool_dir()) +
-                       "/saintdroid disasm tool_test_tmp/demo.apk");
+                       "/saintdroid disasm " + at("demo.apk"));
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("invoke-virtual"), std::string::npos);
   EXPECT_NE(out.find("class com/apkgen/demo/MainActivity"),
@@ -91,23 +103,23 @@ TEST_F(ToolsEndToEnd, DisasmShowsBytecode) {
 }
 
 TEST_F(ToolsEndToEnd, AppGraphStatsAndDot) {
-  run(std::string(tool_dir()) + "/apkgen demo tool_test_tmp/demo.apk");
+  run(std::string(tool_dir()) + "/apkgen demo " + at("demo.apk"));
   auto [stats_rc, stats] = run(std::string(tool_dir()) +
-                               "/appgraph tool_test_tmp/demo.apk --stats");
+                               "/appgraph " + at("demo.apk") + " --stats");
   EXPECT_EQ(stats_rc, 0);
   EXPECT_NE(stats.find("entry points"), std::string::npos);
   auto [dot_rc, dot] =
-      run(std::string(tool_dir()) + "/appgraph tool_test_tmp/demo.apk");
+      run(std::string(tool_dir()) + "/appgraph " + at("demo.apk"));
   EXPECT_EQ(dot_rc, 0);
   EXPECT_EQ(dot.rfind("digraph", 0), 0u);
 }
 
 TEST_F(ToolsEndToEnd, RejectsCorruptPackage) {
-  std::ofstream bad{"tool_test_tmp/bad.apk", std::ios::binary};
+  std::ofstream bad{at("bad.apk"), std::ios::binary};
   bad << "not an apk";
   bad.close();
   auto [rc, out] = run(std::string(tool_dir()) +
-                       "/saintdroid analyze tool_test_tmp/bad.apk");
+                       "/saintdroid analyze " + at("bad.apk"));
   EXPECT_EQ(WEXITSTATUS(rc), 2);
   EXPECT_NE(out.find("parse error"), std::string::npos);
 }
@@ -126,7 +138,7 @@ std::string slurp(const std::string& path) {
 
 TEST_F(ToolsEndToEnd, ShardedBatchesMergeIntoOneCanonicalJournal) {
   auto [gen_rc, gen_out] =
-      run(std::string(tool_dir()) + "/apkgen corpus tool_test_tmp/corpus 9");
+      run(std::string(tool_dir()) + "/apkgen corpus " + at("corpus") + " 9");
   ASSERT_EQ(gen_rc, 0) << gen_out;
 
   // The app-file list, in one fixed order: the order defines the corpus
@@ -134,7 +146,7 @@ TEST_F(ToolsEndToEnd, ShardedBatchesMergeIntoOneCanonicalJournal) {
   std::string files;
   for (int i = 0; i < 9; ++i) {
     const std::string path =
-        "tool_test_tmp/corpus/fdroid-app-" + std::to_string(i) + ".apk";
+        at("corpus/fdroid-app-") + std::to_string(i) + ".apk";
     ASSERT_TRUE(fs::exists(path)) << path;
     files += " " + path;
   }
@@ -144,7 +156,7 @@ TEST_F(ToolsEndToEnd, ShardedBatchesMergeIntoOneCanonicalJournal) {
   for (int s = 0; s < 2; ++s) {
     auto [rc, out] = run(std::string(tool_dir()) + "/saintdroid batch" +
                          files + " --jobs 2 --shard " + std::to_string(s) +
-                         "/2 --journal tool_test_tmp/shard" +
+                         "/2 --journal " + at("shard") +
                          std::to_string(s) + ".jsonl");
     EXPECT_LE(WEXITSTATUS(rc), 1) << out;
     EXPECT_NE(out.find("shard " + std::to_string(s) + "/2"),
@@ -152,9 +164,8 @@ TEST_F(ToolsEndToEnd, ShardedBatchesMergeIntoOneCanonicalJournal) {
   }
 
   auto [rc, out] = run(std::string(tool_dir()) +
-                       "/saintdroid merge-journals tool_test_tmp/merged.jsonl"
-                       " tool_test_tmp/shard0.jsonl"
-                       " tool_test_tmp/shard1.jsonl");
+                       "/saintdroid merge-journals " + at("merged.jsonl") +
+                       " " + at("shard0.jsonl") + " " + at("shard1.jsonl"));
   EXPECT_EQ(WEXITSTATUS(rc), 0) << out;
   EXPECT_NE(out.find("9 apps, 0 duplicate"), std::string::npos);
   EXPECT_NE(out.find("0 conflicts"), std::string::npos);
@@ -162,23 +173,21 @@ TEST_F(ToolsEndToEnd, ShardedBatchesMergeIntoOneCanonicalJournal) {
   // Merging in the opposite input order produces a byte-identical file.
   auto [rev_rc, rev_out] =
       run(std::string(tool_dir()) +
-          "/saintdroid merge-journals tool_test_tmp/merged_rev.jsonl"
-          " tool_test_tmp/shard1.jsonl"
-          " tool_test_tmp/shard0.jsonl");
+          "/saintdroid merge-journals " + at("merged_rev.jsonl") + " " +
+          at("shard1.jsonl") + " " + at("shard0.jsonl"));
   EXPECT_EQ(WEXITSTATUS(rev_rc), 0) << rev_out;
-  EXPECT_EQ(slurp("tool_test_tmp/merged.jsonl"),
-            slurp("tool_test_tmp/merged_rev.jsonl"));
+  EXPECT_EQ(slurp(at("merged.jsonl")), slurp(at("merged_rev.jsonl")));
 
   // A journal from a different shard layout (an unsharded run of the same
   // apps) is refused loudly, not silently interleaved.
   auto [full_rc, full_out] =
       run(std::string(tool_dir()) + "/saintdroid batch" + files +
-          " --jobs 2 --journal tool_test_tmp/full.jsonl");
+          " --jobs 2 --journal " + at("full.jsonl"));
   EXPECT_LE(WEXITSTATUS(full_rc), 1) << full_out;
   auto [bad_rc, bad_out] =
       run(std::string(tool_dir()) +
-          "/saintdroid merge-journals tool_test_tmp/merged_bad.jsonl"
-          " tool_test_tmp/shard0.jsonl tool_test_tmp/full.jsonl");
+          "/saintdroid merge-journals " + at("merged_bad.jsonl") + " " +
+          at("shard0.jsonl") + " " + at("full.jsonl"));
   EXPECT_EQ(WEXITSTATUS(bad_rc), 2) << bad_out;
   EXPECT_NE(bad_out.find("merge-journals"), std::string::npos);
 }
